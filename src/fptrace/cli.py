@@ -85,13 +85,22 @@ def _enc_line(label: str, enc: Enclosure) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _read_input(spec: str, path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{spec}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise CliError(f"{spec}: {exc.strerror or exc}") from exc
+
+
 def _load_code(spec: str) -> tuple:
     if spec in fixtures.CODES:
         return spec, fixtures.CODES[spec]()
     path = Path(spec)
     if path.exists():
         try:
-            return spec, fpcode.parse_code(path.read_text())
+            return spec, fpcode.parse_code(_read_input(spec, path))
         except fpcode.CodeFormatError as exc:
             raise CliError(f"{spec}: {exc}") from exc
     raise CliError(f"{spec!r} is neither a built-in code fixture nor a file")
@@ -103,7 +112,7 @@ def _load_scheme(spec: str) -> tuple:
     path = Path(spec)
     if path.exists():
         try:
-            return spec, tascheme.parse_scheme(path.read_text())
+            return spec, tascheme.parse_scheme(_read_input(spec, path))
         except tascheme.SchemeFormatError as exc:
             raise CliError(f"{spec}: {exc}") from exc
     raise CliError(f"{spec!r} is neither a built-in scheme fixture nor a file")

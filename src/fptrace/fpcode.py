@@ -13,7 +13,15 @@ realizes both symbols.  A code is c-frame-proof when no coalition of at most
 c codeword holders has another user's codeword inside its feasible set.
 
 Verification is exact: coalitions are enumerated in ascending size and
-lexicographic order within a size, so a reported witness is deterministic.
+lexicographic order within a size, outsiders in index order, so a reported
+witness is deterministic.  Each (coalition, outsider) check is one integer
+mask test: under unanimity (and over a binary alphabet, under either
+definition) outsider x is framed iff it matches the first member on every
+position where all members agree; under coordinate sets with s > 2 iff none
+of x's (position, symbol) bits lies outside the members' OR.  Verdicts,
+witnesses and budget refusals are those of the symbol-by-symbol test of
+:func:`feasible_contains` on :func:`feasible_pattern`; those two and
+:func:`enumerate_feasible` serve as the renderer and the oracles.
 Words are tuples of symbols with position 0 leftmost in the textual format.
 """
 
@@ -184,6 +192,49 @@ def enumerate_feasible(
     return set(itertools.product(*choices))
 
 
+def _mask_test(code: Code, definition: FeasibleDefinition):
+    """Codewords as ints, and a map from a coalition to (mask, target) such
+    that outsider x is in its feasible set iff ``keys[x] & mask == target``.
+
+    Unanimity packs b = (s-1).bit_length() bits per position, and ``mask``
+    pins the positions on which every member agrees with the first.
+    Coordinate sets with s > 2 pack one bit per (position, symbol), and
+    ``mask`` is the complement of the members' OR.
+    """
+    s, length = code.s, code.length
+    if definition is FeasibleDefinition.COORDINATE_SET and s > 2:
+        digits = [format(1 << sym, f"0{s}b") for sym in range(s)]
+        keys = [int("".join(digits[sym] for sym in reversed(w)), 2) for w in code.codewords]
+        full = (1 << (s * length)) - 1
+
+        def mask_of(coalition):
+            cover = 0
+            for i in coalition:
+                cover |= keys[i]
+            return full ^ cover, 0
+
+        return keys, mask_of
+
+    b = (s - 1).bit_length()
+    keys = [int("".join(_SYMBOLS[sym] for sym in reversed(w)), 1 << b) for w in code.codewords]
+    group = (1 << b) - 1
+    full = (1 << (b * length)) - 1
+    low = full // group  # the lowest bit of every position's group
+
+    def mask_of(coalition):
+        base = keys[coalition[0]]
+        diff = 0
+        for i in coalition[1:]:
+            diff |= keys[i] ^ base
+        nonzero = diff
+        for shift in range(1, b):
+            nonzero |= diff >> shift
+        pin = full ^ (nonzero & low) * group
+        return pin, base & pin
+
+    return keys, mask_of
+
+
 def is_frameproof(
     code: Code,
     c: int,
@@ -193,7 +244,8 @@ def is_frameproof(
     """Exact verdict: can any coalition of size <= c frame an outside user?
 
     Coalitions are checked in ascending size, lexicographically within each
-    size, and the first violation found is returned as the witness.
+    size, and the first violation found is returned as the witness, with
+    the smallest framed outsider.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -204,14 +256,14 @@ def is_frameproof(
         raise BudgetExceededError(
             f"exact verification needs ~{cost} steps, budget is {budget}"
         )
-    for size in range(1, top + 1):
+    keys, mask_of = _mask_test(code, definition)
+    # A single member's feasible set is its own word, and codewords are
+    # distinct, so coalitions of one frame nobody.
+    for size in range(2, top + 1):
         for coalition in itertools.combinations(range(n), size):
-            pattern = feasible_pattern(code, coalition, definition)
-            members = set(coalition)
-            for x in range(n):
-                if x in members:
-                    continue
-                if feasible_contains(pattern, code.codewords[x]):
+            mask, target = mask_of(coalition)
+            for x, key in enumerate(keys):
+                if key & mask == target and x not in coalition:
                     return FrameproofVerdict(False, FrameWitness(coalition, x))
     return FrameproofVerdict(True)
 

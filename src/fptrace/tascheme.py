@@ -229,7 +229,11 @@ def sample_traceability(
         outsider = _trace_violation(scheme, coalition, pirate)
         if outsider is not None:
             recheck = trace(scheme, pirate)
-            assert outsider in recheck.argmax_decoders
+            if outsider in coalition or outsider not in recheck.argmax_decoders:
+                raise RuntimeError(
+                    f"sampled witness failed its recheck: decoder {outsider} is not an "
+                    f"outside maximum-overlap decoder for pirate {list(pirate)}"
+                )
             return TAVerdict(
                 Certainty.false(),
                 TAWitness(coalition, pirate, outsider),

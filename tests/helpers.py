@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: the log2
 oracle extracts binary digits by exact rational squaring (long division of
 the exponent), the binomial oracles use the product formula and the Pascal
-recurrence, and the frame-proof oracle decides by full feasible-set
-enumeration instead of membership tests.
+recurrence, and the frame-proof oracles decide position by position on
+feasible patterns or by full feasible-set enumeration instead of the
+library's integer mask tests.
 """
 
 from __future__ import annotations
@@ -12,9 +13,21 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 from typing import Tuple
 
-from fptrace.fpcode import Code, FeasibleDefinition, enumerate_feasible
+from fptrace.fpcode import (
+    DEFAULT_STEP_BUDGET,
+    BudgetExceededError,
+    Code,
+    FeasibleDefinition,
+    FrameproofVerdict,
+    FrameWitness,
+    enumerate_feasible,
+    feasible_contains,
+    feasible_pattern,
+)
+from fptrace.rigor import DomainError
 
 
 def log2_bit_expansion(x: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
@@ -101,3 +114,33 @@ def frameproof_by_enumeration(code: Code, c: int, definition: FeasibleDefinition
                 if x not in coalition and code.codewords[x] in feasible:
                     return False
     return True
+
+
+def frameproof_reference(
+    code: Code,
+    c: int,
+    definition: FeasibleDefinition = FeasibleDefinition.UNANIMITY,
+    budget: int = DEFAULT_STEP_BUDGET,
+) -> FrameproofVerdict:
+    """Slow reference for ``is_frameproof``: the same checks, budget and
+    enumeration order, but every (coalition, outsider) check is a
+    symbol-by-symbol membership test on the coalition's feasible pattern."""
+    if c < 1:
+        raise DomainError("coalition bound c must be >= 1")
+    n, length = code.n, code.length
+    top = min(c, n)
+    cost = sum(comb(n, j) for j in range(1, top + 1)) * n * length
+    if cost > budget:
+        raise BudgetExceededError(
+            f"exact verification needs ~{cost} steps, budget is {budget}"
+        )
+    for size in range(1, top + 1):
+        for coalition in itertools.combinations(range(n), size):
+            pattern = feasible_pattern(code, coalition, definition)
+            members = set(coalition)
+            for x in range(n):
+                if x in members:
+                    continue
+                if feasible_contains(pattern, code.codewords[x]):
+                    return FrameproofVerdict(False, FrameWitness(coalition, x))
+    return FrameproofVerdict(True)

@@ -65,6 +65,22 @@ def test_verify_fp_unknown_input(capsys):
     assert code == 1 and "neither" in err
 
 
+@pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
+def test_directory_input_is_an_error(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, str(tmp_path), "--c", "2")
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
+def test_non_utf8_input_is_an_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0011\n0110\n\xe9\n")
+    code, out, err = run(capsys, command, str(path), "--c", "2")
+    assert code == 1
+    assert err == f"error: {path}: not UTF-8 text (byte 10)\n"
+
+
 # ---------------------------------------------------------------------------
 # verify-ta
 # ---------------------------------------------------------------------------

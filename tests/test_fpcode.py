@@ -23,7 +23,7 @@ from fptrace.fpcode import (
 )
 from fptrace.rigor import DomainError
 
-from tests.helpers import frameproof_by_enumeration, random_code
+from tests.helpers import frameproof_by_enumeration, frameproof_reference, random_code
 
 UNA = FeasibleDefinition.UNANIMITY
 CRD = FeasibleDefinition.COORDINATE_SET
@@ -139,6 +139,39 @@ def test_is_frameproof_budget_guard():
     code = construct_identity_concat(20, ones=0, zeros=0, copies=1)
     with pytest.raises(BudgetExceededError):
         is_frameproof(code, 10, UNA, budget=100)
+
+
+def test_budget_refusal_matches_reference():
+    code = Code.from_strings(["0011", "0110", "1100"])
+    message = "exact verification needs ~72 steps, budget is 71"
+    for verify in (is_frameproof, frameproof_reference):
+        with pytest.raises(BudgetExceededError) as refused:
+            verify(code, 2, UNA, budget=71)
+        assert str(refused.value) == message
+    assert is_frameproof(code, 2, UNA, budget=72) == frameproof_reference(
+        code, 2, UNA, budget=72
+    )
+
+
+@st.composite
+def small_codes(draw):
+    s = draw(st.integers(2, 4))
+    length = draw(st.integers(1, 8))
+    word = st.tuples(*[st.integers(0, s - 1)] * length)
+    words = draw(st.lists(word, min_size=1, max_size=7, unique=True))
+    return Code(tuple(words), s)
+
+
+@given(small_codes())
+@settings(max_examples=400, deadline=None)
+def test_mask_kernel_matches_reference(code):
+    """The mask tests give the reference's whole verdict, witness included,
+    for every c and both definitions over alphabets of 2, 3 and 4."""
+    for c in range(1, code.n + 1):
+        for definition in (UNA, CRD):
+            assert is_frameproof(code, c, definition) == frameproof_reference(
+                code, c, definition
+            )
 
 
 def test_is_frameproof_rejects_bad_c():

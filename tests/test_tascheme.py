@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fptrace import tascheme
 from fptrace.rigor import DomainError
 from fptrace.tascheme import (
     KeyScheme,
@@ -157,6 +158,19 @@ def test_sampling_triangle_finds_witness():
     result = trace(triangle(), w.pirate)
     assert w.outsider in result.argmax_decoders
     assert w.outsider not in w.coalition
+
+
+def test_sampling_recheck_rejects_wrong_outsider(monkeypatch):
+    """The recheck is a real check, so it also holds under ``python -O``."""
+    scheme = make_disjoint_scheme(12, 4, 3)
+    wrong = (
+        lambda sch, coalition, pirate: coalition[0],  # a member
+        lambda sch, coalition, pirate: min(set(range(sch.n)) - set(coalition)),  # overlap 0
+    )
+    for fake in wrong:
+        monkeypatch.setattr(tascheme, "_trace_violation", fake)
+        with pytest.raises(RuntimeError, match="failed its recheck"):
+            sample_traceability(scheme, 2, 10, 1)
 
 
 def test_sampling_zero_trials_unresolved():
