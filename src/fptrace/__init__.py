@@ -12,7 +12,7 @@ from .rigor import (
     DomainError,
     Enclosure,
     binom,
-    certify_compare,
+    certify_less,
     entropy_enclosure,
     log2_enclosure,
     sqrt_enclosure,

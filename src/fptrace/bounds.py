@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .rigor import (
     Certainty,
@@ -29,7 +29,6 @@ from .rigor import (
     Enclosure,
     DEFAULT_PRECISION_BITS,
     certainty_all,
-    certify_compare,
     certify_less,
     entropy_enclosure,
     log2_enclosure,
@@ -214,59 +213,45 @@ def contradiction_report_thm6(
     p: Thm6Params, s: int = 2, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReport:
     """Certify (or refute) upper < lower for the frame-proof setting."""
-    sigma_cert = sigma_constraint(p.l, p.sigma, precision_bits)
-    upper_exact = Fraction(ssw_upper(p.l, p.c, s))
-
-    def make_lower(bits: int) -> Enclosure:
-        return thm6_lower(p, bits)
-
-    def make_upper(bits: int) -> Enclosure:
-        return log2_enclosure(upper_exact, bits)
-
-    contradiction = certify_compare(
-        make_upper(precision_bits),
-        make_lower(precision_bits),
-        refine=(make_upper, make_lower),
-        start_bits=precision_bits,
-    )
-    return BoundReport(
-        theorem="thm6",
-        params=p,
-        lower_log2=make_lower(precision_bits),
-        upper_log2=make_upper(precision_bits),
-        upper_exact=upper_exact,
-        sigma_certainty=sigma_cert,
-        contradiction=contradiction,
-        s=s,
-    )
+    upper = Fraction(ssw_upper(p.l, p.c, s))
+    return _contradiction_report("thm6", p, thm6_lower, upper, precision_bits, s=s)
 
 
 def contradiction_report_thm7(
     p: Thm7Params, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReport:
     """Certify (or refute) upper < lower for the traceability setting."""
-    sigma_cert = sigma_constraint(p.l, p.sigma, precision_bits)
     sw = sw_upper_bound(p.l, p.k, p.c)
+    return _contradiction_report(
+        "thm7", p, thm7_lower, sw.value, precision_bits, sw_detail=sw
+    )
+
+
+def _contradiction_report(
+    theorem: str,
+    p: Union[Thm6Params, Thm7Params],
+    lower: Callable[..., Enclosure],
+    upper_exact: Fraction,
+    precision_bits: int,
+    **detail,
+) -> BoundReport:
+    """The report body both theorems share: ``lower(p, bits)`` against the
+    log2 of the exact upper bound, with ``detail`` as the theorem's extra
+    fields."""
 
     def make_lower(bits: int) -> Enclosure:
-        return thm7_lower(p, bits)
+        return lower(p, bits)
 
     def make_upper(bits: int) -> Enclosure:
-        return log2_enclosure(sw.value, bits)
+        return log2_enclosure(upper_exact, bits)
 
-    contradiction = certify_compare(
-        make_upper(precision_bits),
-        make_lower(precision_bits),
-        refine=(make_upper, make_lower),
-        start_bits=precision_bits,
-    )
     return BoundReport(
-        theorem="thm7",
+        theorem=theorem,
         params=p,
         lower_log2=make_lower(precision_bits),
         upper_log2=make_upper(precision_bits),
-        upper_exact=sw.value,
-        sigma_certainty=sigma_cert,
-        contradiction=contradiction,
-        sw_detail=sw,
+        upper_exact=upper_exact,
+        sigma_certainty=sigma_constraint(p.l, p.sigma, precision_bits),
+        contradiction=certify_less(make_upper, make_lower, precision_bits),
+        **detail,
     )

@@ -23,7 +23,7 @@ from . import fixtures
 from . import fpcode
 from . import paramscan
 from . import tascheme
-from .rigor import Certainty, DomainError, Enclosure
+from .rigor import MAX_PRECISION_BITS, Certainty, DomainError, Enclosure
 
 SCHEMA_VERSION = 1
 
@@ -470,6 +470,11 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
+            raise CliError(
+                f"--precision-bits must be in [1, {MAX_PRECISION_BITS}], "
+                f"got {args.precision_bits}"
+            )
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -192,6 +192,13 @@ def enumerate_feasible(
     return set(itertools.product(*choices))
 
 
+def _one_hot_keys(code: Code) -> list:
+    """Codewords as ints with one bit per (position, symbol): bit s*i + sym
+    is set iff position i holds sym."""
+    digits = [format(1 << sym, f"0{code.s}b") for sym in range(code.s)]
+    return [int("".join(digits[sym] for sym in reversed(w)), 2) for w in code.codewords]
+
+
 def _mask_test(code: Code, definition: FeasibleDefinition):
     """Codewords as ints, and a map from a coalition to (mask, target) such
     that outsider x is in its feasible set iff ``keys[x] & mask == target``.
@@ -203,8 +210,7 @@ def _mask_test(code: Code, definition: FeasibleDefinition):
     """
     s, length = code.s, code.length
     if definition is FeasibleDefinition.COORDINATE_SET and s > 2:
-        digits = [format(1 << sym, f"0{s}b") for sym in range(s)]
-        keys = [int("".join(digits[sym] for sym in reversed(w)), 2) for w in code.codewords]
+        keys = _one_hot_keys(code)
         full = (1 << (s * length)) - 1
 
         def mask_of(coalition):
@@ -291,15 +297,15 @@ def construct_identity_concat(
 
 
 def min_distance(code: Code) -> int:
-    """Exact minimum pairwise Hamming distance; needs n >= 2."""
+    """Exact minimum pairwise Hamming distance; needs n >= 2.
+
+    On one-hot packed words a differing position sets exactly two bits of
+    the XOR, so the distance is half its popcount.
+    """
     if code.n < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    best = code.length
-    for u, v in itertools.combinations(code.codewords, 2):
-        d = sum(a != b for a, b in zip(u, v))
-        if d < best:
-            best = d
-    return best
+    keys = _one_hot_keys(code)
+    return min((u ^ v).bit_count() for u, v in itertools.combinations(keys, 2)) // 2
 
 
 def weight_set(code: Code) -> set:

@@ -12,9 +12,10 @@ code; the right inequality is what guarantees the codeword count exceeds
 2^(l/a).  This module certifies, with enclosure arithmetic, that the window
 never contains a positive integer:
 
-* a candidate filter reduces the grid to the families w = 1, w = 2, a = 2
-  plus five finite pairs, because for w >= 3 and a >= 3 the window width
-  f(w, a) is bounded by w*(1/w + 1/a - 1/2), which is nonpositive unless
+* the candidates are computed from a formula rather than by testing every
+  grid point: the families w = 1, w = 2, a = 2 plus the five
+  ``FINITE_PAIRS``, because for w >= 3 and a >= 3 the window width f(w, a)
+  is bounded by w*(1/w + 1/a - 1/2), which is nonpositive unless
   1/w + 1/a > 1/2;
 * four case checks dispose of the families (unit weight, weight two,
   coalition two, finite pairs) on a probe grid, with monotone analytic
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .rigor import (
     Certainty,
@@ -42,7 +43,6 @@ from .rigor import (
     Enclosure,
     DEFAULT_PRECISION_BITS,
     certainty_all,
-    certify_int_le,
     certify_less,
     entropy_enclosure,
     log2_e_enclosure,
@@ -53,6 +53,10 @@ Rational = Union[int, Fraction]
 
 MIN_SCAN_W = 5
 MIN_SCAN_C = 19
+
+# The (w, a) pairs with w >= 3, a >= 3 and 1/w + 1/a > 1/2; every scan grid
+# contains them, since MIN_SCAN_W and MIN_SCAN_C exceed their coordinates.
+FINITE_PAIRS = ((3, 3), (3, 4), (3, 5), (4, 3), (5, 3))
 
 
 class UnresolvedComparisonError(RuntimeError):
@@ -156,7 +160,9 @@ def delta_window_for_length(
     def make_upper(bits: int) -> Enclosure:
         return _window_upper(w, a, length, bits)
 
-    exists = certify_int_le(d_min, make_upper, precision_bits)
+    exists = certify_less(
+        lambda bits: Enclosure.point(d_min), make_upper, precision_bits, or_equal=True
+    )
     return DeltaWindow(
         w=params.w,
         a=params.a,
@@ -207,23 +213,22 @@ def classify_pair(w: int, a: int) -> CaseTag:
 
 
 def candidate_filter(w_max: int, c_max: int) -> dict:
-    """All non-excluded grid pairs, mapped to their case tags.
+    """All non-excluded grid pairs, mapped to their case tags, in (w, a) order.
 
-    For w >= 3 and a >= 3 membership reduces to 1/w + 1/a > 1/2, which is an
-    exact rational test; the surviving finite pairs are (3,3), (3,4), (3,5),
-    (4,3), (5,3) as (w, a).
+    The set is written down, not searched for: the rows w = 1 and w = 2, the
+    column a = 2, and :data:`FINITE_PAIRS`, since for w >= 3 and a >= 3
+    membership reduces to 1/w + 1/a > 1/2.
     """
     if w_max < MIN_SCAN_W or c_max < MIN_SCAN_C:
         raise DomainError(
             f"candidate filter needs w_max >= {MIN_SCAN_W} and c_max >= {MIN_SCAN_C}"
         )
-    out = {}
-    for w in range(1, w_max + 1):
-        for a in range(2, c_max + 1):
-            tag = classify_pair(w, a)
-            if tag is not CaseTag.EXCLUDED:
-                out[(w, a)] = tag
-    return out
+    pairs = (
+        [(w, a) for w in (1, 2) for a in range(2, c_max + 1)]
+        + [(w, 2) for w in range(3, w_max + 1)]
+        + list(FINITE_PAIRS)
+    )
+    return {(w, a): classify_pair(w, a) for w, a in sorted(pairs)}
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +250,12 @@ def either_or_classify(
     lower = window_lower(w, a)
     left = lower < delta
 
-    def make_upper(bits: int) -> Enclosure:
-        return _window_upper(w, a, Fraction(w * a), bits)
-
-    right_cert = certify_int_le(delta, make_upper, precision_bits)
+    right_cert = certify_less(
+        lambda bits: Enclosure.point(delta),
+        lambda bits: window_upper(w, a, bits),
+        precision_bits,
+        or_equal=True,
+    )
     if right_cert.is_unresolved:
         raise UnresolvedComparisonError(
             f"delta = {delta} vs window upper for (w={w}, a={a}) unresolved "
@@ -309,20 +316,6 @@ def entropy_log_bound_check(a: int, precision_bits: int = DEFAULT_PRECISION_BITS
         return (log2_enclosure(a, bits + 4) + log2_e_enclosure(bits + 4)) / a
 
     return certify_less(make_h, make_cap, precision_bits)
-
-
-def _certify_sign(make: Callable[[int], Enclosure], precision_bits: int) -> Certainty:
-    """CertifiedTrue when the enclosed value is certified positive,
-    CertifiedFalse when certified negative."""
-    return certify_less(lambda bits: Enclosure.point(0), make, precision_bits)
-
-
-def _certify_upper_lt_1(w: int, a: int, precision_bits: int) -> Certainty:
-    return certify_less(
-        lambda bits: _window_upper(w, a, Fraction(w * a), bits),
-        lambda bits: Enclosure.point(1),
-        precision_bits,
-    )
 
 
 @dataclass(frozen=True)
@@ -412,7 +405,14 @@ def verify_cases(
     grid = range(2, c_probe_max + 1)
 
     # (a) unit weight
-    upper_certs = [_certify_upper_lt_1(1, a, precision_bits) for a in grid]
+    upper_certs = [
+        certify_less(
+            lambda bits, a=a: window_upper(1, a, bits),
+            lambda bits: Enclosure.point(1),
+            precision_bits,
+        )
+        for a in grid
+    ]
     bound_certs = [
         certify_less(
             lambda bits, a=a: unit_weight_bound(a, bits),
@@ -437,16 +437,18 @@ def verify_cases(
     )
 
     # (b) weight two
-    positive_as = []
-    sign_coverage = []
-    for a in grid:
-        sign = _certify_sign(lambda bits, a=a: weight_two_margin(a, bits), precision_bits)
-        if sign.is_true:
-            positive_as.append(a)
-        sign_coverage.append(
-            Certainty.true() if not sign.is_unresolved else sign
+    signs = {
+        a: certify_less(
+            lambda bits: Enclosure.point(0),
+            lambda bits, a=a: weight_two_margin(a, bits),
+            precision_bits,
         )
-    sign_18 = _certify_sign(lambda bits: weight_two_margin(18, bits), precision_bits)
+        for a in grid
+    }
+    positive_as = [a for a, sign in signs.items() if sign.is_true]
+    sign_coverage = [
+        Certainty.true() if not sign.is_unresolved else sign for sign in signs.values()
+    ]
     sign_19 = certify_less(
         lambda bits: weight_two_margin(19, bits),
         lambda bits: Enclosure.point(0),
@@ -460,13 +462,18 @@ def verify_cases(
         for c in windows_b
     ]
     uppers_b = [
-        _certify_upper_lt_1(2, a, precision_bits) for a in range(2, min(18, c_probe_max) + 1)
+        certify_less(
+            lambda bits, a=a: window_upper(2, a, bits),
+            lambda bits: Enclosure.point(1),
+            precision_bits,
+        )
+        for a in range(2, min(18, c_probe_max) + 1)
     ]
     case_b = CaseWeightTwo(
         probe_max=c_probe_max,
         positive_as=tuple(positive_as),
         signs_resolved=certainty_all(*sign_coverage),
-        sign_change_at_19=certainty_all(sign_18, sign_19),
+        sign_change_at_19=certainty_all(signs[18], sign_19),
         margin_at_18=weight_two_margin(18, precision_bits),
         margin_at_19=weight_two_margin(19, precision_bits),
         windows_empty=certainty_all(*empties),
@@ -477,10 +484,21 @@ def verify_cases(
     # (c) coalition parameter two
     positive_ws = []
     for w in range(2, c_probe_max + 1):
-        sign = _certify_sign(lambda bits, w=w: f_value(w, 2, bits), precision_bits)
+        sign = certify_less(
+            lambda bits: Enclosure.point(0),
+            lambda bits, w=w: f_value(w, 2, bits),
+            precision_bits,
+        )
         if sign.is_true:
             positive_ws.append(w)
-    uppers_c = [_certify_upper_lt_1(w, 2, precision_bits) for w in positive_ws]
+    uppers_c = [
+        certify_less(
+            lambda bits, w=w: window_upper(w, 2, bits),
+            lambda bits: Enclosure.point(1),
+            precision_bits,
+        )
+        for w in positive_ws
+    ]
     f_decr = [
         certify_less(
             lambda bits, w=w: f_value(w + 1, 2, bits),
@@ -498,23 +516,15 @@ def verify_cases(
     )
 
     # (d) finite pairs
-    pairs = tuple(
-        sorted(
-            (w, a)
-            for w in range(3, 6)
-            for a in range(3, 6)
-            if classify_pair(w, a) is CaseTag.D_FINITE_PAIR
-        )
-    )
     neg_certs = [
         certify_less(
             lambda bits, w=w, a=a: f_value(w, a, bits),
             lambda bits: Enclosure.point(0),
             precision_bits,
         )
-        for w, a in pairs
+        for w, a in FINITE_PAIRS
     ]
-    case_d = CaseFinitePairs(pairs=pairs, f_negative=certainty_all(*neg_certs))
+    case_d = CaseFinitePairs(pairs=FINITE_PAIRS, f_negative=certainty_all(*neg_certs))
 
     return CasesReport(case_a, case_b, case_c, case_d)
 
@@ -594,7 +604,11 @@ def _either_or_exhibits(w_max: int, c_max: int, precision_bits: int):
 def _positive_f_exhibits(pairs, precision_bits):
     out = []
     for w, a in pairs:
-        sign = _certify_sign(lambda bits, w=w, a=a: f_value(w, a, bits), precision_bits)
+        sign = certify_less(
+            lambda bits: Enclosure.point(0),
+            lambda bits, w=w, a=a: f_value(w, a, bits),
+            precision_bits,
+        )
         win = delta_window(w, a, precision_bits)
         if sign.is_true and win.integer_exists.is_false:
             out.append((w, a))

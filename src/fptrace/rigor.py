@@ -179,10 +179,6 @@ class Enclosure:
             raise ValueError("disjoint enclosures cannot both be sound")
         return Enclosure(lo, hi)
 
-    def certainly_lt(self, other: "Enclosure") -> bool:
-        """Endpoint proof that every value here is below every value there."""
-        return self.hi < other.lo
-
     # -- exact interval arithmetic -------------------------------------------
 
     def __neg__(self) -> "Enclosure":
@@ -378,15 +374,24 @@ def _ln2_dyadic(w: int) -> Tuple[int, int]:
     return _ln_dyadic(Fraction(2), w)
 
 
-def _log2_dyadic(x: Fraction, w: int) -> Tuple[int, int, int]:
-    """(e, lo, hi): log2(x) lies in [e + lo/2**w, e + hi/2**w]."""
-    e = floor_log2(x)
-    m = x / Fraction(2) ** e
+def _log2_mantissa_dyadic(m: Fraction, w: int) -> Tuple[int, int]:
+    """Dyadic interval for log2(m), m in [1, 2):  ln(m) / ln(2)."""
     ln_lo, ln_hi = _ln_dyadic(m, w)
     l2_lo, l2_hi = _ln2_dyadic(w)
-    lo = (ln_lo << w) // l2_hi
-    hi = _ceil_div(ln_hi << w, l2_lo)
-    return e, lo, hi
+    return (ln_lo << w) // l2_hi, _ceil_div(ln_hi << w, l2_lo)
+
+
+def _dyadic_enclosure(
+    bounds: Callable[[int], Tuple[int, int]], w: int, precision_bits: int
+) -> Enclosure:
+    """[lo, hi] / 2**w for ``(lo, hi) = bounds(w)``, doubling the working
+    precision ``w`` until the width is at most 2**-precision_bits."""
+    while True:
+        lo, hi = bounds(w)
+        if hi - lo <= 1 << (w - precision_bits):
+            scale = Fraction(1, 1 << w)
+            return Enclosure(lo * scale, hi * scale)
+        w *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +405,11 @@ def _log2_enclosure_cached(x: Fraction, precision_bits: int) -> Enclosure:
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         # exact power of two
         return Enclosure.point(num.bit_length() - den.bit_length())
-    w = precision_bits + 16
-    target = Fraction(1, 1 << precision_bits)
-    while True:
-        e, lo, hi = _log2_dyadic(x, w)
-        if Fraction(hi - lo, 1 << w) <= target:
-            scale = Fraction(1, 1 << w)
-            return Enclosure(e + lo * scale, e + hi * scale)
-        w *= 2
+    e = floor_log2(x)
+    m = x / Fraction(2) ** e
+    return e + _dyadic_enclosure(
+        lambda w: _log2_mantissa_dyadic(m, w), precision_bits + 16, precision_bits
+    )
 
 
 def log2_enclosure(x: Rational, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
@@ -458,15 +460,12 @@ def sqrt_enclosure(x: Rational, precision_bits: int = DEFAULT_PRECISION_BITS) ->
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Enclosure.point(Fraction(rn, rd))
-    w = precision_bits + 8
-    target = Fraction(1, 1 << precision_bits)
-    while True:
-        lo = math.isqrt((num << (2 * w)) // den)
-        hi = math.isqrt(_ceil_div(num << (2 * w), den)) + 1
-        scale = Fraction(1, 1 << w)
-        if (hi - lo) * scale <= target:
-            return Enclosure(lo * scale, hi * scale)
-        w *= 2
+
+    def bounds(w: int) -> Tuple[int, int]:
+        scaled = num << (2 * w)
+        return math.isqrt(scaled // den), math.isqrt(_ceil_div(scaled, den)) + 1
+
+    return _dyadic_enclosure(bounds, precision_bits + 8, precision_bits)
 
 
 def log2_e_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
@@ -477,93 +476,45 @@ def log2_e_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
 
 @lru_cache(maxsize=64)
 def _log2_e_cached(precision_bits: int) -> Enclosure:
-    w = precision_bits + 16
-    target = Fraction(1, 1 << precision_bits)
-    while True:
+    def bounds(w: int) -> Tuple[int, int]:
         l2_lo, l2_hi = _ln2_dyadic(w)
-        lo = (1 << (2 * w)) // l2_hi
-        hi = _ceil_div(1 << (2 * w), l2_lo)
-        scale = Fraction(1, 1 << w)
-        if (hi - lo) * scale <= target:
-            return Enclosure(lo * scale, hi * scale)
-        w *= 2
+        return (1 << (2 * w)) // l2_hi, _ceil_div(1 << (2 * w), l2_lo)
+
+    return _dyadic_enclosure(bounds, precision_bits + 16, precision_bits)
 
 
 # ---------------------------------------------------------------------------
 # Certified comparison with precision escalation
 # ---------------------------------------------------------------------------
 
-Refiner = Callable[[int], Enclosure]
-
-
-def certify_compare(
-    a: Enclosure,
-    b: Enclosure,
-    refine: Optional[Tuple[Refiner, Refiner]] = None,
-    max_bits: int = MAX_PRECISION_BITS,
-    start_bits: int = DEFAULT_PRECISION_BITS,
-) -> Certainty:
-    """Certainty of the strict inequality a < b.
-
-    Doubles the precision and re-derives both enclosures (intersecting with
-    the previous round, so refinement can only shrink) until the endpoints
-    separate or ``max_bits`` is exceeded.  Equal underlying values are never
-    certified in either direction.
-    """
-    bits = start_bits
-    while True:
-        if a.certainly_lt(b):
-            return Certainty.true()
-        if b.certainly_lt(a):
-            return Certainty.false()
-        if refine is None:
-            return Certainty.unresolved(bits)
-        next_bits = bits * 2
-        if next_bits > max_bits:
-            return Certainty.unresolved(bits)
-        bits = next_bits
-        refine_a, refine_b = refine
-        a = a.intersect(refine_a(bits))
-        b = b.intersect(refine_b(bits))
-
 
 def certify_less(
-    make_a: Refiner,
-    make_b: Refiner,
+    make_a: Callable[[int], Enclosure],
+    make_b: Callable[[int], Enclosure],
     precision_bits: int = DEFAULT_PRECISION_BITS,
     max_bits: int = MAX_PRECISION_BITS,
+    or_equal: bool = False,
 ) -> Certainty:
-    """Certainty that the value enclosed by make_a is strictly below make_b's."""
-    return certify_compare(
-        make_a(precision_bits),
-        make_b(precision_bits),
-        refine=(make_a, make_b),
-        max_bits=max_bits,
-        start_bits=precision_bits,
-    )
+    """Certainty of a < b (a <= b with ``or_equal``) for the values that
+    ``make_a(bits)`` and ``make_b(bits)`` enclose.
 
-
-def certify_int_le(
-    n: int,
-    make_enc: Refiner,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
-) -> Certainty:
-    """Certainty of n <= v for the enclosed value v.
-
-    Unlike :func:`certify_compare` the comparison is non-strict on the left:
-    an exact point enclosure equal to n certifies true, which matters when
-    the enclosed expression collapses to a rational.
+    Doubles the precision from ``precision_bits`` and re-derives both
+    enclosures (intersecting with the previous round, so refinement can only
+    shrink) until the endpoints separate or ``max_bits`` is exceeded; the
+    unresolved verdict records the last precision tried.  CertifiedFalse
+    needs b's enclosure strictly below a's, so equal values are never
+    certified false; they are certified true only under ``or_equal``, when
+    the enclosures touch at that value (an exact point equal to an integer).
     """
     bits = precision_bits
-    enc = make_enc(bits)
+    a, b = make_a(bits), make_b(bits)
     while True:
-        if enc.lo >= n:
+        if a.hi < b.lo or (or_equal and a.hi <= b.lo):
             return Certainty.true()
-        if enc.hi < n:
+        if b.hi < a.lo:
             return Certainty.false()
-        next_bits = bits * 2
-        if next_bits > max_bits:
+        if bits * 2 > max_bits:
             return Certainty.unresolved(bits)
-        bits = next_bits
-        enc = enc.intersect(make_enc(bits))
+        bits *= 2
+        a = a.intersect(make_a(bits))
+        b = b.intersect(make_b(bits))

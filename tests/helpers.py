@@ -5,7 +5,9 @@ oracle extracts binary digits by exact rational squaring (long division of
 the exponent), the binomial oracles use the product formula and the Pascal
 recurrence, and the frame-proof oracles decide position by position on
 feasible patterns or by full feasible-set enumeration instead of the
-library's integer mask tests.
+library's integer mask tests.  The minimum-distance and candidate-filter
+references are the symbol-by-symbol loop and the full grid enumeration that
+the library's packed-word and closed-form versions replaced.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fptrace.fpcode import (
     feasible_contains,
     feasible_pattern,
 )
+from fptrace.paramscan import CaseTag, classify_pair
 from fptrace.rigor import DomainError
 
 
@@ -144,3 +147,26 @@ def frameproof_reference(
                 if feasible_contains(pattern, code.codewords[x]):
                     return FrameproofVerdict(False, FrameWitness(coalition, x))
     return FrameproofVerdict(True)
+
+
+def min_distance_reference(code: Code) -> int:
+    """Slow reference for ``min_distance``: count differing symbols of every
+    pair of codewords."""
+    best = code.length
+    for u, v in itertools.combinations(code.codewords, 2):
+        d = sum(a != b for a, b in zip(u, v))
+        if d < best:
+            best = d
+    return best
+
+
+def candidate_filter_reference(w_max: int, c_max: int) -> dict:
+    """Slow reference for ``candidate_filter``: classify every grid pair, in
+    (w, a) order, and keep the ones not excluded."""
+    out = {}
+    for w in range(1, w_max + 1):
+        for a in range(2, c_max + 1):
+            tag = classify_pair(w, a)
+            if tag is not CaseTag.EXCLUDED:
+                out[(w, a)] = tag
+    return out

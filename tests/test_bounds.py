@@ -212,12 +212,12 @@ def test_thm7_small_instance_no_contradiction():
 
 
 def test_report_never_certifies_both_directions():
-    from fptrace.rigor import certify_compare
+    from fptrace.rigor import certify_less
 
     for sigma in (F(7, 64), F(1, 2), F(1, 8)):
         p = Thm6Params(q=64, delta=3, c=2, sigma=sigma, l=64, w=32)
         rep = contradiction_report_thm6(p)
-        reverse = certify_compare(rep.lower_log2, rep.upper_log2)
+        reverse = certify_less(lambda b: rep.lower_log2, lambda b: rep.upper_log2)
         assert not (rep.contradiction.is_true and reverse.is_true)
 
 

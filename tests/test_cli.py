@@ -196,6 +196,18 @@ def test_entropy_command(capsys):
     assert code == 1 and "entropy" in err
 
 
+@pytest.mark.parametrize("bits", ["0", "4097", "100000"])
+def test_precision_bits_out_of_range_is_an_error(capsys, bits):
+    code, out, err = run(capsys, "entropy", "1/3", "--precision-bits", bits)
+    assert code == 1 and out == ""
+    assert err == f"error: --precision-bits must be in [1, 4096], got {bits}\n"
+
+
+def test_precision_bits_at_the_cap(capsys):
+    payload = run_json(capsys, "entropy", "1/3", "--precision-bits", "4096")
+    assert payload["precision_bits"] == 4096
+
+
 def test_fixture_round_trips(capsys):
     for name in fixtures.CODES:
         code, out, err = run(capsys, "fixtures", "emit", name)

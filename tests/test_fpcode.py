@@ -23,7 +23,12 @@ from fptrace.fpcode import (
 )
 from fptrace.rigor import DomainError
 
-from tests.helpers import frameproof_by_enumeration, frameproof_reference, random_code
+from tests.helpers import (
+    frameproof_by_enumeration,
+    frameproof_reference,
+    min_distance_reference,
+    random_code,
+)
 
 UNA = FeasibleDefinition.UNANIMITY
 CRD = FeasibleDefinition.COORDINATE_SET
@@ -172,6 +177,14 @@ def test_mask_kernel_matches_reference(code):
             assert is_frameproof(code, c, definition) == frameproof_reference(
                 code, c, definition
             )
+
+
+@given(small_codes().filter(lambda code: code.n >= 2))
+@settings(max_examples=400, deadline=None)
+def test_min_distance_matches_reference(code):
+    """Half the popcount of packed-word XORs is the symbol-by-symbol
+    minimum distance over alphabets of 2, 3 and 4."""
+    assert min_distance(code) == min_distance_reference(code)
 
 
 def test_is_frameproof_rejects_bad_c():

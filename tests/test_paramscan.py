@@ -4,7 +4,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fptrace import paramscan
 from fptrace.paramscan import (
     CaseTag,
     EitherOr,
@@ -26,7 +29,9 @@ from fptrace.paramscan import (
     window_lower,
     window_upper,
 )
-from fptrace.rigor import DomainError, Enclosure, certify_compare
+from fptrace.rigor import DomainError, Enclosure, certify_less
+
+from tests.helpers import candidate_filter_reference
 
 FINITE_PAIRS = ((3, 3), (3, 4), (3, 5), (4, 3), (5, 3))
 
@@ -130,14 +135,25 @@ def test_finite_pairs_rederivable_from_inequality():
             if F(1, w) + F(1, a) > F(1, 2)
         )
     )
-    assert derived == FINITE_PAIRS
+    assert derived == FINITE_PAIRS == paramscan.FINITE_PAIRS
+
+
+@given(st.integers(5, 80), st.integers(19, 80))
+@settings(max_examples=60, deadline=None)
+def test_candidate_filter_matches_grid_enumeration(w_max, c_max):
+    """The closed-form candidate set is the grid enumeration's, tags and
+    order included; a small w_max checks that the a = 2 column stops there."""
+    assert list(candidate_filter(w_max, c_max).items()) == list(
+        candidate_filter_reference(w_max, c_max).items()
+    )
 
 
 def test_filter_soundness_excluded_pairs_have_nonpositive_f():
     for w in range(1, 17):
         for a in range(2, 17):
             if classify_pair(w, a) is CaseTag.EXCLUDED:
-                cert = certify_compare(f_value(w, a), Enclosure.point(0))
+                f = f_value(w, a)
+                cert = certify_less(lambda b: f, lambda b: Enclosure.point(0))
                 assert cert.is_true, (w, a)  # f < 0 certified
 
 
@@ -282,5 +298,5 @@ def test_weight_log_cap_monotone_on_sample():
     for a in (2, 3, 5, 9, 17, 100, 4096):
         cap = weight_log_cap(a)
         if prev is not None:
-            assert certify_compare(cap, prev).is_true  # strictly decreasing
+            assert certify_less(lambda b: cap, lambda b: prev).is_true  # strictly decreasing
         prev = cap

@@ -13,8 +13,6 @@ from fptrace.rigor import (
     Enclosure,
     binom,
     certainty_all,
-    certify_compare,
-    certify_int_le,
     certify_less,
     entropy_enclosure,
     floor_log2,
@@ -192,23 +190,47 @@ def test_log2_e():
     assert enc.lo > F("1.4426950408889634") and enc.hi < F("1.4426950408889635")
 
 
+def test_enclosure_endpoints_pinned():
+    """Exact endpoints at 64 bits: the working precision each producer
+    starts from (p + 8 for sqrt, p + 16 for log2 and log2 e) is part of
+    the output, so refactoring the refinement loop must not move it."""
+
+    def dyadic(lo, lo_exp, hi, hi_exp):
+        return Enclosure(F(lo, 2**lo_exp), F(hi, 2**hi_exp))
+
+    assert sqrt_enclosure(2, 64) == dyadic(
+        3339217363285192246361, 71, 6678434726570384492723, 72
+    )
+    assert log2_enclosure(3, 64) == dyadic(
+        1916102090242776021049307, 80, 1916102090242776021049399, 80
+    )
+    assert log2_e_enclosure(64) == dyadic(
+        1744111284760651037637849, 80, 872055642380325518818977, 79
+    )
+
+
 # ---------------------------------------------------------------------------
 # certified comparison
 # ---------------------------------------------------------------------------
 
 
-def test_certify_compare_trivial():
-    assert certify_compare(Enclosure.point(2), Enclosure.point(3)).is_true
-    assert certify_compare(Enclosure.point(3), Enclosure.point(2)).is_false
-    assert certify_compare(Enclosure.point(5), Enclosure.point(5)).is_unresolved
+def const(enc):
+    """A refiner that returns the same enclosure at every precision."""
+    return lambda bits: enc
 
 
-def test_certify_compare_huge_exponents():
+def test_certify_less_trivial():
+    assert certify_less(const(Enclosure.point(2)), const(Enclosure.point(3))).is_true
+    assert certify_less(const(Enclosure.point(3)), const(Enclosure.point(2))).is_false
+    assert certify_less(const(Enclosure.point(5)), const(Enclosure.point(5))).is_unresolved
+
+
+def test_certify_less_huge_exponents():
     # 2^45 vs 2^33 carried as log enclosures: [45,45] vs [33,33]
     a = Enclosure.point(45)
     b = log2_enclosure(8589934590, 64)
-    assert certify_compare(a, b).is_false
-    assert certify_compare(b, a).is_true
+    assert certify_less(const(a), const(b)).is_false
+    assert certify_less(const(b), const(a)).is_true
 
 
 def test_certify_refinement_escalates():
@@ -229,12 +251,11 @@ def test_certify_refinement_escalates():
 
 
 def test_certify_equal_values_unresolved_with_cap():
-    cert = certify_compare(
-        Enclosure.point(7),
-        Enclosure.point(7),
-        refine=(lambda b: Enclosure.point(7), lambda b: Enclosure.point(7)),
+    cert = certify_less(
+        lambda b: Enclosure.point(7),
+        lambda b: Enclosure.point(7),
+        precision_bits=64,
         max_bits=256,
-        start_bits=64,
     )
     assert cert.is_unresolved and cert.precision_bits == 256
 
@@ -246,19 +267,22 @@ def test_certify_equal_values_unresolved_with_cap():
     st.fractions(min_value=0, max_value=2),
 )
 @settings(max_examples=300, deadline=None)
-def test_certify_compare_antisymmetric(alo, awidth, blo, bwidth):
+def test_certify_less_antisymmetric(alo, awidth, blo, bwidth):
     a = Enclosure(alo, alo + awidth)
     b = Enclosure(blo, blo + bwidth)
-    ab = certify_compare(a, b)
-    ba = certify_compare(b, a)
+    ab = certify_less(const(a), const(b))
+    ba = certify_less(const(b), const(a))
     assert not (ab.is_true and ba.is_true)
 
 
-def test_certify_int_le_boundaries():
-    assert certify_int_le(1, lambda b: Enclosure.point(1)).is_true
-    assert certify_int_le(1, lambda b: Enclosure.point(F(1, 2))).is_false
-    assert certify_int_le(2, lambda b: log2_enclosure(5, b)).is_true
-    assert certify_int_le(3, lambda b: log2_enclosure(5, b)).is_false
+def test_certify_less_or_equal_boundaries():
+    def int_le(n, make):
+        return certify_less(const(Enclosure.point(n)), make, or_equal=True)
+
+    assert int_le(1, lambda b: Enclosure.point(1)).is_true
+    assert int_le(1, lambda b: Enclosure.point(F(1, 2))).is_false
+    assert int_le(2, lambda b: log2_enclosure(5, b)).is_true
+    assert int_le(3, lambda b: log2_enclosure(5, b)).is_false
 
 
 def test_certainty_all():
