@@ -374,11 +374,11 @@ def _ln2_dyadic(w: int) -> Tuple[int, int]:
     return _ln_dyadic(Fraction(2), w)
 
 
-def _log2_mantissa_dyadic(m: Fraction, w: int) -> Tuple[int, int]:
-    """Dyadic interval for log2(m), m in [1, 2):  ln(m) / ln(2)."""
+def _log2_dyadic(e: int, m: Fraction, w: int) -> Tuple[int, int]:
+    """Dyadic interval for e + log2(m), m in [1, 2):  e + ln(m) / ln(2)."""
     ln_lo, ln_hi = _ln_dyadic(m, w)
     l2_lo, l2_hi = _ln2_dyadic(w)
-    return (ln_lo << w) // l2_hi, _ceil_div(ln_hi << w, l2_lo)
+    return (e << w) + (ln_lo << w) // l2_hi, (e << w) + _ceil_div(ln_hi << w, l2_lo)
 
 
 def _dyadic_enclosure(
@@ -407,8 +407,8 @@ def _log2_enclosure_cached(x: Fraction, precision_bits: int) -> Enclosure:
         return Enclosure.point(num.bit_length() - den.bit_length())
     e = floor_log2(x)
     m = x / Fraction(2) ** e
-    return e + _dyadic_enclosure(
-        lambda w: _log2_mantissa_dyadic(m, w), precision_bits + 16, precision_bits
+    return _dyadic_enclosure(
+        lambda w: _log2_dyadic(e, m, w), precision_bits + 16, precision_bits
     )
 
 

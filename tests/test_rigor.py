@@ -219,13 +219,13 @@ def const(enc):
     return lambda bits: enc
 
 
-def test_certify_less_trivial():
+def test_certify_compare_trivial():
     assert certify_less(const(Enclosure.point(2)), const(Enclosure.point(3))).is_true
     assert certify_less(const(Enclosure.point(3)), const(Enclosure.point(2))).is_false
     assert certify_less(const(Enclosure.point(5)), const(Enclosure.point(5))).is_unresolved
 
 
-def test_certify_less_huge_exponents():
+def test_certify_compare_huge_exponents():
     # 2^45 vs 2^33 carried as log enclosures: [45,45] vs [33,33]
     a = Enclosure.point(45)
     b = log2_enclosure(8589934590, 64)
@@ -267,7 +267,7 @@ def test_certify_equal_values_unresolved_with_cap():
     st.fractions(min_value=0, max_value=2),
 )
 @settings(max_examples=300, deadline=None)
-def test_certify_less_antisymmetric(alo, awidth, blo, bwidth):
+def test_certify_compare_antisymmetric(alo, awidth, blo, bwidth):
     a = Enclosure(alo, alo + awidth)
     b = Enclosure(blo, blo + bwidth)
     ab = certify_less(const(a), const(b))
@@ -275,7 +275,7 @@ def test_certify_less_antisymmetric(alo, awidth, blo, bwidth):
     assert not (ab.is_true and ba.is_true)
 
 
-def test_certify_less_or_equal_boundaries():
+def test_certify_int_le_boundaries():
     def int_le(n, make):
         return certify_less(const(Enclosure.point(n)), make, or_equal=True)
 
