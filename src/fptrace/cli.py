@@ -10,6 +10,7 @@ errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -30,6 +31,21 @@ SCHEMA_VERSION = 1
 DEFAULT_PRECISION = 64
 DEFAULT_TRIALS = 10**5
 DEFAULT_SEED = 1
+MAX_TRIALS = 10**6
+MAX_SCAN_EXTENT = 1024
+
+_PROBE_NOTE = (
+    f" ({paramscan.MIN_SCAN_W} and {paramscan.MIN_SCAN_C} are the minimum probe extents)"
+)
+
+# Integer flags bounded before any work starts: (attribute, flag, low, high,
+# note appended to the error).
+BOUNDED_FLAGS = (
+    ("precision_bits", "--precision-bits", 1, MAX_PRECISION_BITS, ""),
+    ("wmax", "--wmax", paramscan.MIN_SCAN_W, MAX_SCAN_EXTENT, _PROBE_NOTE),
+    ("cmax", "--cmax", paramscan.MIN_SCAN_C, MAX_SCAN_EXTENT, _PROBE_NOTE),
+    ("trials", "--trials", 0, MAX_TRIALS, ""),
+)
 
 
 class CliError(Exception):
@@ -269,8 +285,25 @@ def cmd_bounds(args) -> int:
         "sw_detail": rep.sw_detail,
         "contradiction": rep.contradiction,
     }
-    _emit(report, _bound_report_lines(rep), args.format)
+    with _exact_integer_digits():
+        _emit(report, _bound_report_lines(rep), args.format)
     return 0
+
+
+@contextlib.contextmanager
+def _exact_integer_digits():
+    """Lift Python's int-to-str digit limit (4300 by default, a guard for
+    parsing) while printing exact bounds, which can be longer: with c = 2
+    the thm6 upper bound has about 0.15*l decimal digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _scan_lines(rep) -> list:
@@ -470,11 +503,10 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
-            raise CliError(
-                f"--precision-bits must be in [1, {MAX_PRECISION_BITS}], "
-                f"got {args.precision_bits}"
-            )
+        for attr, flag, low, high, note in BOUNDED_FLAGS:
+            value = getattr(args, attr, low)
+            if not low <= value <= high:
+                raise CliError(f"{flag} must be in [{low}, {high}], got {value}{note}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

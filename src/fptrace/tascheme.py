@@ -8,10 +8,16 @@ when, for every coalition of size at most c and every pirate it can build,
 every maximum-overlap decoder belongs to the coalition.  A tie with an
 outsider already defeats tracing under this (conservative) rule.
 
-Three verifiers are provided: exhaustive enumeration (exact, step-budgeted),
-a structural proof for pairwise-disjoint decoders (a pirate's k keys force
-some member overlap of at least ceil(k/c) >= 1 while every outsider overlaps
-0), and seeded Monte-Carlo falsification for instances too large to exhaust.
+Three verifiers are provided: an exact search (step-budgeted), a structural
+proof for pairwise-disjoint decoders (a pirate's k keys force some member
+overlap of at least ceil(k/c) >= 1 while every outsider overlaps 0), and
+seeded Monte-Carlo falsification.  The exact search decides each (coalition,
+outsider) pair on its own.  The pigeonhole bound above skips every outsider
+sharing fewer than ceil(k/|C|) keys with the coalition's union; for the rest,
+each overlap depends only on how many keys the pirate takes from each
+signature class (the members holding a key, and whether the outsider does),
+so count vectors over at most 2(2^|C| - 1) classes replace the C(|union|, k)
+pirates.
 """
 
 from __future__ import annotations
@@ -138,37 +144,168 @@ def _trace_violation(scheme: KeyScheme, coalition: Tuple[int, ...], pirate) -> O
 def is_traceable_exact(
     scheme: KeyScheme, c: int, budget: int = DEFAULT_STEP_BUDGET
 ) -> TAVerdict:
-    """Exhaustive verdict over every coalition of size <= c and every
-    k-subset pirate from the coalition's key union.
+    """Exact verdict over every coalition of size <= c and every k-subset
+    pirate from the coalition's key union, decided per (coalition C,
+    outsider u) pair without building pirates.
 
-    Enumeration is ascending in coalition size and lexicographic within, so
-    the first witness is deterministic.  Instances whose step estimate
-    exceeds ``budget`` return Unresolved instead of running forever.
+    A pair is skipped when u shares fewer than ceil(k/|C|) keys with the
+    union, because some member overlaps every pirate at least that much;
+    otherwise a search over count vectors of the pair's signature classes
+    decides it.  Coalitions are taken ascending in size and lexicographic
+    within a size.  The witness is the first violating coalition, its
+    lexicographically first violating pirate (built key by key) and that
+    pirate's smallest outside maximum-overlap decoder: what enumerating the
+    pirates in order would report first.  A step is one pair test or one
+    count vector; an instance whose pair tests alone exceed ``budget``, or
+    whose search runs past it, returns Unresolved.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
-    n, k, l = scheme.n, scheme.k, scheme.l
+    n, k = scheme.n, scheme.k
     top = min(c, n)
-    estimate = sum(
-        comb(n, j) * comb(min(j * k, l), k) * n for j in range(1, top + 1)
-    )
-    if estimate > budget:
+    pair_tests = sum(comb(n, j) * (n - j) for j in range(1, top + 1))
+    if pair_tests > budget:
         return TAVerdict(
             Certainty.unresolved(),
-            detail=f"step estimate {estimate} exceeds budget {budget}",
+            detail=f"step estimate {pair_tests} exceeds budget {budget}",
         )
-    for size in range(1, top + 1):
-        for coalition in itertools.combinations(range(n), size):
-            union = sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
-            for pirate in itertools.combinations(union, k):
-                outsider = _trace_violation(scheme, coalition, pirate)
-                if outsider is not None:
+    masks = scheme._masks
+    search = _PairSearch(masks, k, budget - pair_tests)
+    try:
+        for size in range(1, top + 1):
+            floor = -(-k // size)
+            for coalition in itertools.combinations(range(n), size):
+                union = 0
+                for i in coalition:
+                    union |= masks[i]
+                rivals = [
+                    u for u in range(n)
+                    if u not in coalition and (masks[u] & union).bit_count() >= floor
+                ]
+                if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
+                    pirate = search.first_pirate(coalition, rivals, union)
+                    outsider = _trace_violation(scheme, coalition, pirate)
+                    if outsider is None:
+                        raise RuntimeError(
+                            f"pirate {list(pirate)} of coalition {list(coalition)} "
+                            "failed its recheck: no outsider ties the trace"
+                        )
                     return TAVerdict(
                         Certainty.false(),
                         TAWitness(coalition, pirate, outsider),
                         detail="exhaustive search found a tracing violation",
                     )
+    except _OverBudget:
+        return TAVerdict(
+            Certainty.unresolved(),
+            detail=f"search ran past its budget of {budget} steps "
+            f"({pair_tests} pair tests plus count vectors)",
+        )
     return TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
+
+
+class _OverBudget(Exception):
+    """The count-vector search used up the step budget."""
+
+
+class _PairSearch:
+    """Decides whether an outsider can tie a coalition's trace, by count
+    vectors over signature classes: the keys a set of members holds and the
+    rest of the coalition lacks.  Each count vector visited costs one step of
+    ``budget``."""
+
+    def __init__(self, masks: Tuple[int, ...], k: int, budget: int):
+        self.masks, self.k, self.left = masks, k, budget
+
+    def can_tie(self, coalition, rival: int, fixed: int, avail: int, need: int) -> bool:
+        """Whether ``need`` keys of ``avail`` added to the keys ``fixed``
+        give the decoder with key mask ``rival`` an overlap at least every
+        member's.  Every key of ``fixed | avail`` must be a member's.
+
+        Swapping a chosen key the rival lacks for an unchosen one it holds
+        never lowers its margin over any member, so some best pirate takes
+        min(need, |avail & rival|) of the rival's keys: either all of them
+        plus keys it lacks, or ``need`` of them.  That leaves one choice,
+        ``want`` keys from ``pool``, under a cap on each member's overlap.
+        """
+        held = avail & rival
+        take = min(need, held.bit_count())
+        if take < need:
+            forced, pool, want = held, avail & ~rival, need - take
+        else:
+            forced, pool, want = 0, held, need
+        chosen = fixed | forced
+        level = (fixed & rival).bit_count() + take
+        caps = []
+        for i in coalition:
+            cap = level - (chosen & self.masks[i]).bit_count()
+            if cap < 0:
+                return False
+            caps.append(cap)
+        return self._pack(self._classes(coalition, pool), tuple(caps), want)
+
+    def _classes(self, coalition, pool: int) -> list:
+        """(member positions, key count) of each nonempty signature class of
+        ``pool``, fewest members first, found by AND/AND-NOT splits."""
+        parts = [(pool, ())]
+        for pos, i in enumerate(coalition):
+            mask = self.masks[i]
+            parts = [
+                (keys, sig)
+                for whole, sig0 in parts
+                for keys, sig in ((whole & mask, sig0 + (pos,)), (whole & ~mask, sig0))
+                if keys
+            ]
+        return sorted(((sig, keys.bit_count()) for keys, sig in parts), key=lambda sc: len(sc[0]))
+
+    def _pack(self, classes: list, caps: tuple, want: int) -> bool:
+        """Whether ``want`` keys can be taken from ``classes`` with member
+        position p in at most ``caps[p]`` of them.  Each class first takes
+        as many keys as it can, so the greedy choice is tried first; a
+        vector is cut when the classes left, each limited by its size and
+        its members' caps, cannot supply what is still wanted."""
+        failed = set()
+
+        def fill(at: int, want: int, caps: tuple) -> bool:
+            if want == 0:
+                return True
+            state = (at, want, caps)
+            if state in failed:
+                return False
+            self.left -= 1
+            if self.left < 0:
+                raise _OverBudget
+            room = [min(size, *(caps[p] for p in sig)) for sig, size in classes[at:]]
+            if sum(room) >= want:
+                sig = classes[at][0]
+                for x in range(min(room[0], want), -1, -1):
+                    left = list(caps)
+                    for p in sig:
+                        left[p] -= x
+                    if fill(at + 1, want - x, tuple(left)):
+                        return True
+            failed.add(state)
+            return False
+
+        return fill(0, want, caps)
+
+    def first_pirate(self, coalition, rivals, union: int) -> Tuple[int, ...]:
+        """The lexicographically first k keys of ``union`` that some rival
+        ties: k times, the smallest next key after which a tying completion
+        still exists."""
+        keys = [key for key in range(union.bit_length()) if union >> key & 1]
+        pirate, fixed, start = [], 0, 0
+        for need in range(self.k - 1, -1, -1):
+            for at in range(start, len(keys)):
+                trial = fixed | 1 << keys[at]
+                avail = union >> keys[at] + 1 << keys[at] + 1
+                if any(self.can_tie(coalition, self.masks[u], trial, avail, need) for u in rivals):
+                    break
+            else:
+                raise RuntimeError(f"no tying completion of pirate prefix {pirate}")
+            pirate.append(keys[at])
+            fixed, start = trial, at + 1
+        return tuple(pirate)
 
 
 def is_traceable_structural_disjoint(scheme: KeyScheme, c: int) -> TAVerdict:

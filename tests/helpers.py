@@ -7,7 +7,9 @@ recurrence, and the frame-proof oracles decide position by position on
 feasible patterns or by full feasible-set enumeration instead of the
 library's integer mask tests.  The minimum-distance and candidate-filter
 references are the symbol-by-symbol loop and the full grid enumeration that
-the library's packed-word and closed-form versions replaced.
+the library's packed-word and closed-form versions replaced, and the exact
+traceability reference enumerates every pirate instead of searching count
+vectors per (coalition, outsider) pair.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from fptrace.fpcode import (
     feasible_pattern,
 )
 from fptrace.paramscan import CaseTag, classify_pair
-from fptrace.rigor import DomainError
+from fptrace.rigor import Certainty, DomainError
+from fptrace.tascheme import (
+    DEFAULT_STEP_BUDGET as TA_STEP_BUDGET,
+    KeyScheme,
+    TAVerdict,
+    TAWitness,
+    _trace_violation,
+)
 
 
 def log2_bit_expansion(x: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
@@ -170,3 +179,51 @@ def candidate_filter_reference(w_max: int, c_max: int) -> dict:
             if tag is not CaseTag.EXCLUDED:
                 out[(w, a)] = tag
     return out
+
+
+def traceable_exact_reference(
+    scheme: KeyScheme, c: int, budget: int = TA_STEP_BUDGET
+) -> TAVerdict:
+    """Slow reference for ``is_traceable_exact``: trace every k-subset
+    pirate of every coalition's key union, coalitions ascending in size and
+    lexicographic within, pirates in lexicographic order, under a budget on
+    the number of traced (pirate, decoder) overlaps."""
+    if c < 1:
+        raise DomainError("coalition bound c must be >= 1")
+    n, k, l = scheme.n, scheme.k, scheme.l
+    top = min(c, n)
+    estimate = sum(
+        comb(n, j) * comb(min(j * k, l), k) * n for j in range(1, top + 1)
+    )
+    if estimate > budget:
+        return TAVerdict(
+            Certainty.unresolved(),
+            detail=f"step estimate {estimate} exceeds budget {budget}",
+        )
+    for size in range(1, top + 1):
+        for coalition in itertools.combinations(range(n), size):
+            union = sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
+            for pirate in itertools.combinations(union, k):
+                outsider = _trace_violation(scheme, coalition, pirate)
+                if outsider is not None:
+                    return TAVerdict(
+                        Certainty.false(),
+                        TAWitness(coalition, pirate, outsider),
+                        detail="exhaustive search found a tracing violation",
+                    )
+    return TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
+
+
+def planted_overlap_scheme(rng: random.Random, l: int, n: int, k: int) -> KeyScheme:
+    """Random k-subsets plus one decoder assembled from two others' keys, so
+    that pair of decoders can build a pirate that frames it."""
+    while True:
+        decoders = set()
+        while len(decoders) < n - 1:
+            decoders.add(tuple(sorted(rng.sample(range(l), k))))
+        decoders = sorted(decoders)
+        a, b = rng.sample(decoders, 2)
+        planted = tuple(sorted(rng.sample(sorted(set(a) | set(b)), k)))
+        if planted not in decoders:
+            decoders.insert(rng.randrange(n), planted)
+            return KeyScheme(l, tuple(frozenset(d) for d in decoders))

@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -206,6 +207,52 @@ def test_precision_bits_out_of_range_is_an_error(capsys, bits):
 def test_precision_bits_at_the_cap(capsys):
     payload = run_json(capsys, "entropy", "1/3", "--precision-bits", "4096")
     assert payload["precision_bits"] == 4096
+
+
+@pytest.mark.parametrize("flag, value, low, high", [
+    ("--wmax", "4", 5, 1024),
+    ("--wmax", "1025", 5, 1024),
+    ("--cmax", "18", 19, 1024),
+    ("--cmax", "1000000", 19, 1024),
+])
+def test_scan_extent_out_of_range_is_an_error(capsys, flag, value, low, high):
+    code, out, err = run(capsys, "scan", flag, value)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {flag} must be in [{low}, {high}], got {value}"
+        " (5 and 19 are the minimum probe extents)\n"
+    )
+
+
+@pytest.mark.parametrize("trials", ["-1", "1000001", "1000000000"])
+def test_trials_out_of_range_is_an_error(capsys, trials):
+    code, out, err = run(capsys, "verify-ta", "triangle", "--c", "2",
+                         "--method", "sample", "--trials", trials)
+    assert code == 1 and out == ""
+    assert err == f"error: --trials must be in [0, 1000000], got {trials}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_prints_exact_upper_past_the_digit_limit(capsys, fmt):
+    """The thm6 upper bound 2*(2^16384 - 1) has 4,933 decimal digits, more
+    than Python's default int-to-str limit of 4,300, which is restored after
+    printing."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run(
+        capsys, "bounds", "thm6", "--q", "32768", "--delta", "1", "--c", "2",
+        "--sigma", "1/4", "--l", "32768", "--format", fmt,
+    )
+    assert code == 0 and err == ""
+    assert limit() == before
+    if fmt == "json":
+        digits = json.loads(out)["upper_exact"]
+    else:
+        (line,) = [x for x in out.splitlines() if x.startswith("upper bound, exact: ")]
+        digits = line.removeprefix("upper bound, exact: ")
+    assert len(digits) == 4933
+    with cli._exact_integer_digits():
+        assert digits == str(2 * (2**16384 - 1))
 
 
 def test_fixture_round_trips(capsys):

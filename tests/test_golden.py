@@ -3,7 +3,9 @@ report, a bound report left unresolved at 4096 bits, and scans at 1024 and
 2 bits, in text and JSON, reproduced byte for byte.
 
 The files under ``tests/golden/`` are ``<name>.txt`` and ``<name>.json``.
-They were written once, before the certification core was refactored, by
+They were written once, before the certification core was refactored (the
+exact disjoint verdict after the signature-class search replaced pirate
+enumeration), by
 
     PYTHONPATH=src python -m tests.test_golden
 
@@ -33,6 +35,9 @@ GOLDEN = {
                          "--method", "sample", "--seed", "42", "--trials", "200"],
     "verify_fp_lemma3_G": ["verify-fp", "lemma3_G", "--c", "2"],
     "verify_ta_triangle": ["verify-ta", "triangle", "--c", "2", "--method", "exact"],
+    # CertifiedTrue by the per-pair search; pirate enumeration refused it
+    "verify_ta_exact_disjoint": ["verify-ta", "disjoint_256_8_32", "--c", "4",
+                                 "--method", "exact"],
     "scan_thm10": ["scan", "--mode", "thm10", "--wmax", "64", "--cmax", "64"],
     "scan_thm11": ["scan", "--mode", "thm11", "--wmax", "64", "--cmax", "64"],
     "entropy_1_16": ["entropy", "1/16", "--precision-bits", "40"],

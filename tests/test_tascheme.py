@@ -1,9 +1,13 @@
 """Tracing, traceability verdicts, and the scheme text format."""
 
+import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fptrace import tascheme
 from fptrace.rigor import DomainError
@@ -19,6 +23,7 @@ from fptrace.tascheme import (
     sw_upper_bound,
     trace,
 )
+from tests.helpers import planted_overlap_scheme, traceable_exact_reference
 
 
 def triangle() -> KeyScheme:
@@ -103,10 +108,65 @@ def test_exact_c1_true_for_distinct_decoders():
 
 
 def test_exact_budget_returns_unresolved():
-    scheme = make_disjoint_scheme(256, 8, 32)
-    verdict = is_traceable_exact(scheme, 4)
-    assert verdict.verdict.is_unresolved
-    assert "budget" in verdict.detail
+    """Refused up front when the pair tests alone pass the budget, and
+    stopped mid-search when the count vectors do."""
+    triangle_pairs = 3 * 2 + 3 * 1
+    for scheme, c, budget in (
+        (make_disjoint_scheme(2000, 2000, 1), 2, tascheme.DEFAULT_STEP_BUDGET),
+        (triangle(), 2, triangle_pairs - 1),
+        (triangle(), 2, triangle_pairs),
+    ):
+        verdict = is_traceable_exact(scheme, c, budget=budget)
+        assert verdict.verdict.is_unresolved
+        assert "budget" in verdict.detail
+
+
+def test_exact_disjoint_256_8_32_c4_certified_true():
+    verdict = is_traceable_exact(make_disjoint_scheme(256, 8, 32), 4)
+    assert verdict.verdict.is_true and verdict.witness is None
+    assert verdict.detail == "exhaustive search found no violation"
+
+
+def test_exact_gf13_lines_c3_certified_true():
+    """Lines y = b + m*x over GF(13), key (x, y) numbered 13*x + y: two
+    lines share at most one key, so with 3*3 < 13 the scheme is
+    3-traceable."""
+    p = 13
+    lines = [(b, m) for b in range(p) for m in range(p)]
+    chosen = random.Random(13).sample(lines, 10)
+    scheme = KeyScheme(
+        p * p,
+        tuple(frozenset(x * p + (b + m * x) % p for x in range(p)) for b, m in chosen),
+    )
+    assert is_traceable_exact(scheme, 3).verdict.is_true
+
+
+@st.composite
+def small_schemes(draw):
+    """(scheme, c): n <= 7 distinct k-subsets of l <= 10 keys, k <= 4, or a
+    scheme with one decoder planted inside two others' key union."""
+    if draw(st.booleans()):
+        l = draw(st.integers(6, 10))
+        k = draw(st.integers(2, 4))
+        n = draw(st.integers(3, 7))
+        scheme = planted_overlap_scheme(random.Random(draw(st.integers(0, 2**32))), l, n, k)
+    else:
+        l = draw(st.integers(1, 10))
+        k = draw(st.integers(1, min(4, l)))
+        n = draw(st.integers(1, min(7, comb(l, k))))
+        combos = list(itertools.combinations(range(l), k))
+        picks = draw(st.lists(st.integers(0, len(combos) - 1), min_size=n, max_size=n, unique=True))
+        scheme = KeyScheme(l, tuple(frozenset(combos[i]) for i in picks))
+    return scheme, draw(st.integers(1, scheme.n))
+
+
+@given(small_schemes())
+@settings(max_examples=400, deadline=None)
+def test_exact_matches_reference(case):
+    """The per-pair search gives the pirate enumeration's whole verdict:
+    label, witness (coalition, pirate, outsider) and detail."""
+    scheme, c = case
+    assert is_traceable_exact(scheme, c) == traceable_exact_reference(scheme, c)
 
 
 # ---------------------------------------------------------------------------
