@@ -8,6 +8,7 @@ directed rounding, so every True/False verdict is machine-certified.
 """
 
 from .rigor import (
+    BudgetExceededError,
     Certainty,
     DomainError,
     Enclosure,
@@ -18,7 +19,6 @@ from .rigor import (
     sqrt_enclosure,
 )
 from .fpcode import (
-    BudgetExceededError,
     Code,
     CodeFormatError,
     FeasibleDefinition,

@@ -24,7 +24,14 @@ from . import fixtures
 from . import fpcode
 from . import paramscan
 from . import tascheme
-from .rigor import MAX_PRECISION_BITS, Certainty, DomainError, Enclosure
+from .rigor import (
+    MAX_PRECISION_BITS,
+    BudgetExceededError,
+    Certainty,
+    DomainError,
+    Enclosure,
+    entropy_enclosure,
+)
 
 SCHEMA_VERSION = 1
 
@@ -33,6 +40,7 @@ DEFAULT_TRIALS = 10**5
 DEFAULT_SEED = 1
 MAX_TRIALS = 10**6
 MAX_SCAN_EXTENT = 1024
+MAX_BOUND_LENGTH = 1 << 18
 
 _PROBE_NOTE = (
     f" ({paramscan.MIN_SCAN_W} and {paramscan.MIN_SCAN_C} are the minimum probe extents)"
@@ -45,11 +53,13 @@ BOUNDED_FLAGS = (
     ("wmax", "--wmax", paramscan.MIN_SCAN_W, MAX_SCAN_EXTENT, _PROBE_NOTE),
     ("cmax", "--cmax", paramscan.MIN_SCAN_C, MAX_SCAN_EXTENT, _PROBE_NOTE),
     ("trials", "--trials", 0, MAX_TRIALS, ""),
+    ("l", "--l", 1, MAX_BOUND_LENGTH, ""),
+    ("s", "--s", 2, fpcode.MAX_ALPHABET, ""),
 )
 
 
 class CliError(Exception):
-    """User-facing failure: bad input file, bad parameters, budget."""
+    """User-facing failure: bad input file or bad parameters."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,28 +120,18 @@ def _read_input(spec: str, path: Path) -> str:
         raise CliError(f"{spec}: {exc.strerror or exc}") from exc
 
 
-def _load_code(spec: str) -> tuple:
-    if spec in fixtures.CODES:
-        return spec, fixtures.CODES[spec]()
+def _load(spec: str, table: dict, parse, format_error: type, kind: str):
+    """A built-in fixture from ``table`` by name, else the file at ``spec``
+    read by ``parse``, whose ``format_error`` becomes an ``error:`` line."""
+    if spec in table:
+        return table[spec]()
     path = Path(spec)
     if path.exists():
         try:
-            return spec, fpcode.parse_code(_read_input(spec, path))
-        except fpcode.CodeFormatError as exc:
+            return parse(_read_input(spec, path))
+        except format_error as exc:
             raise CliError(f"{spec}: {exc}") from exc
-    raise CliError(f"{spec!r} is neither a built-in code fixture nor a file")
-
-
-def _load_scheme(spec: str) -> tuple:
-    if spec in fixtures.SCHEMES:
-        return spec, fixtures.SCHEMES[spec]()
-    path = Path(spec)
-    if path.exists():
-        try:
-            return spec, tascheme.parse_scheme(_read_input(spec, path))
-        except tascheme.SchemeFormatError as exc:
-            raise CliError(f"{spec}: {exc}") from exc
-    raise CliError(f"{spec!r} is neither a built-in scheme fixture nor a file")
+    raise CliError(f"{spec!r} is neither a built-in {kind} fixture nor a file")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -147,12 +147,10 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def cmd_verify_fp(args) -> int:
-    name, code = _load_code(args.code)
+    name = args.code
+    code = _load(name, fixtures.CODES, fpcode.parse_code, fpcode.CodeFormatError, "code")
     definition = fpcode.FeasibleDefinition(args.definition)
-    try:
-        verdict = fpcode.is_frameproof(code, args.c, definition)
-    except fpcode.BudgetExceededError as exc:
-        raise CliError(str(exc)) from exc
+    verdict = fpcode.is_frameproof(code, args.c, definition)
     weights = sorted(fpcode.weight_set(code))
     dist = fpcode.min_distance(code) if code.n >= 2 else None
     report = {
@@ -186,17 +184,17 @@ def cmd_verify_fp(args) -> int:
 
 
 def cmd_verify_ta(args) -> int:
-    name, scheme = _load_scheme(args.scheme)
+    name = args.scheme
+    scheme = _load(
+        name, fixtures.SCHEMES, tascheme.parse_scheme, tascheme.SchemeFormatError, "scheme"
+    )
     method = args.method
-    try:
-        if method == "exact":
-            verdict = tascheme.is_traceable_exact(scheme, args.c)
-        elif method == "structural":
-            verdict = tascheme.is_traceable_structural_disjoint(scheme, args.c)
-        else:
-            verdict = tascheme.sample_traceability(scheme, args.c, args.trials, args.seed)
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    if method == "exact":
+        verdict = tascheme.is_traceable_exact(scheme, args.c)
+    elif method == "structural":
+        verdict = tascheme.is_traceable_structural_disjoint(scheme, args.c)
+    else:
+        verdict = tascheme.sample_traceability(scheme, args.c, args.trials, args.seed)
     report = {
         "command": "verify-ta",
         "scheme": name,
@@ -253,25 +251,22 @@ def _params_echo(params) -> str:
 
 def cmd_bounds(args) -> int:
     sigma = _parse_rational(args.sigma)
-    try:
-        if args.which == "thm6":
-            if args.l % args.c != 0:
-                raise DomainError(f"the relation c = l/w needs c | l, got l={args.l}, c={args.c}")
-            params = bounds_mod.Thm6Params(
-                q=args.q, delta=args.delta, c=args.c, sigma=sigma,
-                l=args.l, w=args.l // args.c,
-            )
-            rep = bounds_mod.contradiction_report_thm6(params, args.s, args.precision_bits)
-        else:
-            if args.k is None:
-                raise DomainError("thm7 needs --k")
-            params = bounds_mod.Thm7Params(
-                q=args.q, delta=args.delta, c=args.c, sigma=sigma,
-                l=args.l, k=args.k,
-            )
-            rep = bounds_mod.contradiction_report_thm7(params, args.precision_bits)
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    if args.which == "thm6":
+        if args.l % args.c != 0:
+            raise CliError(f"the relation c = l/w needs c | l, got l={args.l}, c={args.c}")
+        params = bounds_mod.Thm6Params(
+            q=args.q, delta=args.delta, c=args.c, sigma=sigma,
+            l=args.l, w=args.l // args.c,
+        )
+        rep = bounds_mod.contradiction_report_thm6(params, args.s, args.precision_bits)
+    else:
+        if args.k is None:
+            raise CliError("thm7 needs --k")
+        params = bounds_mod.Thm7Params(
+            q=args.q, delta=args.delta, c=args.c, sigma=sigma,
+            l=args.l, k=args.k,
+        )
+        rep = bounds_mod.contradiction_report_thm7(params, args.precision_bits)
     report = {
         "command": "bounds",
         "which": rep.theorem,
@@ -354,12 +349,9 @@ def _scan_lines(rep) -> list:
 
 
 def cmd_scan(args) -> int:
-    try:
-        rep = paramscan.scan_infeasibility(
-            args.wmax, args.cmax, paramscan.ScanMode(args.mode), args.precision_bits
-        )
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    rep = paramscan.scan_infeasibility(
+        args.wmax, args.cmax, paramscan.ScanMode(args.mode), args.precision_bits
+    )
     report = {
         "command": "scan",
         "mode": rep.mode,
@@ -385,12 +377,7 @@ def cmd_scan(args) -> int:
 
 def cmd_entropy(args) -> int:
     x = _parse_rational(args.x)
-    try:
-        from .rigor import entropy_enclosure
-
-        enc = entropy_enclosure(x, args.precision_bits)
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    enc = entropy_enclosure(x, args.precision_bits)
     report = {
         "command": "entropy",
         "x": x,
@@ -508,10 +495,7 @@ def main(argv: Optional[list] = None) -> int:
             if not low <= value <= high:
                 raise CliError(f"{flag} must be in [{low}, {high}], got {value}{note}")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (CliError, DomainError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,9 +18,11 @@ witness is deterministic.  Each (coalition, outsider) check is one integer
 mask test: under unanimity (and over a binary alphabet, under either
 definition) outsider x is framed iff it matches the first member on every
 position where all members agree; under coordinate sets with s > 2 iff none
-of x's (position, symbol) bits lies outside the members' OR.  Verdicts,
-witnesses and budget refusals are those of the symbol-by-symbol test of
-:func:`feasible_contains` on :func:`feasible_pattern`; those two and
+of x's (position, symbol) bits lies outside the members' OR.  That test is
+the step of the shared step budget (``rigor.DEFAULT_STEP_BUDGET``): a check
+whose pair tests exceed it is refused up front with ``BudgetExceededError``.
+Verdicts, witnesses and budget refusals are those of the symbol-by-symbol
+test of :func:`feasible_contains` on :func:`feasible_pattern`; those two and
 :func:`enumerate_feasible` serve as the renderer and the oracles.
 Words are tuples of symbols with position 0 leftmost in the textual format.
 """
@@ -33,19 +35,14 @@ from enum import Enum
 from math import comb, prod
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .rigor import DomainError
+from .rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError, check_step_budget
 
 Word = Tuple[int, ...]
 
 MAX_ALPHABET = 16
 ENUMERATION_LIMIT = 1 << 20
-DEFAULT_STEP_BUDGET = 10**9
 
 _SYMBOLS = "0123456789abcdef"
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested exact verification exceeds its step budget."""
 
 
 class CodeFormatError(ValueError):
@@ -251,20 +248,18 @@ def is_frameproof(
 
     Coalitions are checked in ascending size, lexicographically within each
     size, and the first violation found is returned as the witness, with
-    the smallest framed outsider.
+    the smallest framed outsider.  A step is one (coalition, outsider) pair
+    test; when the sum of C(n, j) * (n - j) over sizes 2 <= j <= min(c, n)
+    exceeds ``budget``, ``BudgetExceededError`` is raised before any test.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
-    n, length = code.n, code.length
+    n = code.n
     top = min(c, n)
-    cost = sum(comb(n, j) for j in range(1, top + 1)) * n * length
-    if cost > budget:
-        raise BudgetExceededError(
-            f"exact verification needs ~{cost} steps, budget is {budget}"
-        )
-    keys, mask_of = _mask_test(code, definition)
     # A single member's feasible set is its own word, and codewords are
-    # distinct, so coalitions of one frame nobody.
+    # distinct, so coalitions of one frame nobody and cost nothing.
+    check_step_budget(sum(comb(n, j) * (n - j) for j in range(2, top + 1)), budget)
+    keys, mask_of = _mask_test(code, definition)
     for size in range(2, top + 1):
         for coalition in itertools.combinations(range(n), size):
             mask, target = mask_of(coalition)

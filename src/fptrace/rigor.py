@@ -30,10 +30,26 @@ Rational = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
+# Steps an exact verifier may take: one per (coalition, outsider) pair test,
+# plus one per count vector in the traceability search.
+DEFAULT_STEP_BUDGET = 10**9
 
 
 class DomainError(ValueError):
     """Input outside an operation's mathematical domain."""
+
+
+class BudgetExceededError(RuntimeError):
+    """The requested exact verification exceeds its step budget."""
+
+
+def check_step_budget(steps: int, budget: int) -> None:
+    """Refuse up front an exact verification that needs more steps than
+    ``budget``."""
+    if steps > budget:
+        raise BudgetExceededError(
+            f"exact verification needs ~{steps} steps, budget is {budget}"
+        )
 
 
 def _as_fraction(x) -> Fraction:

@@ -8,16 +8,18 @@ when, for every coalition of size at most c and every pirate it can build,
 every maximum-overlap decoder belongs to the coalition.  A tie with an
 outsider already defeats tracing under this (conservative) rule.
 
-Three verifiers are provided: an exact search (step-budgeted), a structural
-proof for pairwise-disjoint decoders (a pirate's k keys force some member
-overlap of at least ceil(k/c) >= 1 while every outsider overlaps 0), and
-seeded Monte-Carlo falsification.  The exact search decides each (coalition,
+Three verifiers are provided: an exact search, a structural proof for
+pairwise-disjoint decoders (a pirate's k keys force some member overlap of
+at least ceil(k/c) >= 1 while every outsider overlaps 0), and seeded
+Monte-Carlo falsification.  The exact search decides each (coalition,
 outsider) pair on its own.  The pigeonhole bound above skips every outsider
 sharing fewer than ceil(k/|C|) keys with the coalition's union; for the rest,
 each overlap depends only on how many keys the pirate takes from each
 signature class (the members holding a key, and whether the outsider does),
 so count vectors over at most 2(2^|C| - 1) classes replace the C(|union|, k)
-pirates.
+pirates.  The exact search shares the frame-proof verifier's step budget
+(``rigor.DEFAULT_STEP_BUDGET``): one step per pair test, plus one per count
+vector, and ``BudgetExceededError`` when they pass it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,14 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Tuple
 
-from .rigor import Certainty, DomainError, binom
-
-DEFAULT_STEP_BUDGET = 10**9
+from .rigor import (
+    DEFAULT_STEP_BUDGET,
+    BudgetExceededError,
+    Certainty,
+    DomainError,
+    binom,
+    check_step_budget,
+)
 
 
 class SchemeFormatError(ValueError):
@@ -156,66 +163,52 @@ def is_traceable_exact(
     lexicographically first violating pirate (built key by key) and that
     pirate's smallest outside maximum-overlap decoder: what enumerating the
     pirates in order would report first.  A step is one pair test or one
-    count vector; an instance whose pair tests alone exceed ``budget``, or
-    whose search runs past it, returns Unresolved.
+    count vector; ``BudgetExceededError`` is raised before any test when the
+    pair tests alone exceed ``budget``, and mid-search when the count
+    vectors take the total past it.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
     n, k = scheme.n, scheme.k
     top = min(c, n)
     pair_tests = sum(comb(n, j) * (n - j) for j in range(1, top + 1))
-    if pair_tests > budget:
-        return TAVerdict(
-            Certainty.unresolved(),
-            detail=f"step estimate {pair_tests} exceeds budget {budget}",
-        )
+    check_step_budget(pair_tests, budget)
     masks = scheme._masks
-    search = _PairSearch(masks, k, budget - pair_tests)
-    try:
-        for size in range(1, top + 1):
-            floor = -(-k // size)
-            for coalition in itertools.combinations(range(n), size):
-                union = 0
-                for i in coalition:
-                    union |= masks[i]
-                rivals = [
-                    u for u in range(n)
-                    if u not in coalition and (masks[u] & union).bit_count() >= floor
-                ]
-                if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
-                    pirate = search.first_pirate(coalition, rivals, union)
-                    outsider = _trace_violation(scheme, coalition, pirate)
-                    if outsider is None:
-                        raise RuntimeError(
-                            f"pirate {list(pirate)} of coalition {list(coalition)} "
-                            "failed its recheck: no outsider ties the trace"
-                        )
-                    return TAVerdict(
-                        Certainty.false(),
-                        TAWitness(coalition, pirate, outsider),
-                        detail="exhaustive search found a tracing violation",
+    search = _PairSearch(masks, k, budget, pair_tests)
+    for size in range(1, top + 1):
+        floor = -(-k // size)
+        for coalition in itertools.combinations(range(n), size):
+            union = 0
+            for i in coalition:
+                union |= masks[i]
+            rivals = [
+                u for u in range(n)
+                if u not in coalition and (masks[u] & union).bit_count() >= floor
+            ]
+            if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
+                pirate = search.first_pirate(coalition, rivals, union)
+                outsider = _trace_violation(scheme, coalition, pirate)
+                if outsider is None:
+                    raise RuntimeError(
+                        f"pirate {list(pirate)} of coalition {list(coalition)} "
+                        "failed its recheck: no outsider ties the trace"
                     )
-    except _OverBudget:
-        return TAVerdict(
-            Certainty.unresolved(),
-            detail=f"search ran past its budget of {budget} steps "
-            f"({pair_tests} pair tests plus count vectors)",
-        )
+                return TAVerdict(
+                    Certainty.false(),
+                    TAWitness(coalition, pirate, outsider),
+                    detail="exhaustive search found a tracing violation",
+                )
     return TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
-
-
-class _OverBudget(Exception):
-    """The count-vector search used up the step budget."""
 
 
 class _PairSearch:
     """Decides whether an outsider can tie a coalition's trace, by count
     vectors over signature classes: the keys a set of members holds and the
-    rest of the coalition lacks.  Each count vector visited costs one step of
-    ``budget``."""
+    rest of the coalition lacks.  Each count vector visited adds one to
+    ``steps``, which may not pass ``budget``."""
 
-    def __init__(self, masks: Tuple[int, ...], k: int, budget: int):
-        self.masks, self.k, self.left = masks, k, budget
+    def __init__(self, masks: Tuple[int, ...], k: int, budget: int, steps: int):
+        self.masks, self.k, self.budget, self.steps = masks, k, budget, steps
 
     def can_tie(self, coalition, rival: int, fixed: int, avail: int, need: int) -> bool:
         """Whether ``need`` keys of ``avail`` added to the keys ``fixed``
@@ -272,9 +265,11 @@ class _PairSearch:
             state = (at, want, caps)
             if state in failed:
                 return False
-            self.left -= 1
-            if self.left < 0:
-                raise _OverBudget
+            self.steps += 1
+            if self.steps > self.budget:
+                raise BudgetExceededError(
+                    f"exact verification ran past its budget of {self.budget} steps"
+                )
             room = [min(size, *(caps[p] for p in sig)) for sig, size in classes[at:]]
             if sum(room) >= want:
                 sig = classes[at][0]

@@ -21,8 +21,6 @@ from math import comb
 from typing import Tuple
 
 from fptrace.fpcode import (
-    DEFAULT_STEP_BUDGET,
-    BudgetExceededError,
     Code,
     FeasibleDefinition,
     FrameproofVerdict,
@@ -32,9 +30,8 @@ from fptrace.fpcode import (
     feasible_pattern,
 )
 from fptrace.paramscan import CaseTag, classify_pair
-from fptrace.rigor import Certainty, DomainError
+from fptrace.rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, Certainty, DomainError
 from fptrace.tascheme import (
-    DEFAULT_STEP_BUDGET as TA_STEP_BUDGET,
     KeyScheme,
     TAVerdict,
     TAWitness,
@@ -136,12 +133,13 @@ def frameproof_reference(
 ) -> FrameproofVerdict:
     """Slow reference for ``is_frameproof``: the same checks, budget and
     enumeration order, but every (coalition, outsider) check is a
-    symbol-by-symbol membership test on the coalition's feasible pattern."""
+    symbol-by-symbol membership test on the coalition's feasible pattern.
+    The budget counts the pair tests of coalitions of two or more."""
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
-    n, length = code.n, code.length
+    n = code.n
     top = min(c, n)
-    cost = sum(comb(n, j) for j in range(1, top + 1)) * n * length
+    cost = sum(comb(n, j) * (n - j) for j in range(2, top + 1))
     if cost > budget:
         raise BudgetExceededError(
             f"exact verification needs ~{cost} steps, budget is {budget}"
@@ -182,7 +180,7 @@ def candidate_filter_reference(w_max: int, c_max: int) -> dict:
 
 
 def traceable_exact_reference(
-    scheme: KeyScheme, c: int, budget: int = TA_STEP_BUDGET
+    scheme: KeyScheme, c: int, budget: int = DEFAULT_STEP_BUDGET
 ) -> TAVerdict:
     """Slow reference for ``is_traceable_exact``: trace every k-subset
     pirate of every coalition's key union, coalitions ascending in size and
@@ -196,9 +194,8 @@ def traceable_exact_reference(
         comb(n, j) * comb(min(j * k, l), k) * n for j in range(1, top + 1)
     )
     if estimate > budget:
-        return TAVerdict(
-            Certainty.unresolved(),
-            detail=f"step estimate {estimate} exceeds budget {budget}",
+        raise BudgetExceededError(
+            f"exact verification needs ~{estimate} steps, budget is {budget}"
         )
     for size in range(1, top + 1):
         for coalition in itertools.combinations(range(n), size):

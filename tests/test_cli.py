@@ -7,7 +7,7 @@ import pytest
 
 from fptrace import cli, fixtures
 from fptrace.fpcode import parse_code
-from fptrace.tascheme import parse_scheme
+from fptrace.tascheme import format_scheme, make_disjoint_scheme, parse_scheme
 
 
 def run(capsys, *argv):
@@ -64,6 +64,21 @@ def test_verify_fp_parse_error_exit_code(tmp_path, capsys):
 def test_verify_fp_unknown_input(capsys):
     code, out, err = run(capsys, "verify-fp", "no_such_thing", "--c", "2")
     assert code == 1 and "neither" in err
+
+
+@pytest.mark.parametrize("argv, text, steps", [
+    # 400 words at c = 3: C(400, 2) * 398 + C(400, 3) * 397 pair tests
+    (["verify-fp", "--c", "3"], "".join(f"{i:09b}\n" for i in range(400)), 4234720000),
+    # 2000 one-key decoders at c = 2: 2000 * 1999 + C(2000, 2) * 1998 pair tests
+    (["verify-ta", "--c", "2", "--method", "exact"],
+     format_scheme(make_disjoint_scheme(2000, 2000, 1)), 3998000000),
+], ids=["verify-fp", "verify-ta"])
+def test_exact_verification_over_budget_is_an_error(tmp_path, capsys, argv, text, steps):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == f"error: exact verification needs ~{steps} steps, budget is 1000000000\n"
 
 
 @pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
@@ -230,6 +245,22 @@ def test_trials_out_of_range_is_an_error(capsys, trials):
                          "--method", "sample", "--trials", trials)
     assert code == 1 and out == ""
     assert err == f"error: --trials must be in [0, 1000000], got {trials}\n"
+
+
+@pytest.mark.parametrize("flag, value, low, high", [
+    ("--l", "0", 1, 262144),
+    ("--l", "262145", 1, 262144),
+    ("--l", "4194304", 1, 262144),
+    ("--s", "1", 2, 16),
+    ("--s", "17", 2, 16),
+])
+def test_bounds_length_and_alphabet_out_of_range_is_an_error(capsys, flag, value, low, high):
+    params = {"--q": "4194304", "--delta": "1", "--c": "2", "--sigma": "1/4", "--l": "64"}
+    params[flag] = value
+    argv = [item for pair in params.items() for item in pair]
+    code, out, err = run(capsys, "bounds", "thm6", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be in [{low}, {high}], got {value}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

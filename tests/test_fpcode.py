@@ -147,15 +147,24 @@ def test_is_frameproof_budget_guard():
 
 
 def test_budget_refusal_matches_reference():
+    """One step per (coalition, outsider) pair test: three pairs of three
+    words, one outsider each."""
     code = Code.from_strings(["0011", "0110", "1100"])
-    message = "exact verification needs ~72 steps, budget is 71"
+    message = "exact verification needs ~3 steps, budget is 2"
     for verify in (is_frameproof, frameproof_reference):
         with pytest.raises(BudgetExceededError) as refused:
-            verify(code, 2, UNA, budget=71)
+            verify(code, 2, UNA, budget=2)
         assert str(refused.value) == message
-    assert is_frameproof(code, 2, UNA, budget=72) == frameproof_reference(
-        code, 2, UNA, budget=72
+    assert is_frameproof(code, 2, UNA, budget=3) == frameproof_reference(
+        code, 2, UNA, budget=3
     )
+
+
+def test_long_identity_code_fits_the_default_budget():
+    """C(100, 2) * 98 = 485,100 pair tests, however long the words are."""
+    code = construct_identity_concat(100, ones=1450, zeros=1450)
+    assert code.length == 3000
+    assert is_frameproof(code, 2).is_frameproof
 
 
 @st.composite

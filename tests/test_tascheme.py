@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fptrace import tascheme
-from fptrace.rigor import DomainError
+from fptrace.rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError
 from fptrace.tascheme import (
     KeyScheme,
     SchemeFormatError,
@@ -107,18 +107,21 @@ def test_exact_c1_true_for_distinct_decoders():
         assert is_traceable_exact(scheme, 1).verdict.is_true
 
 
-def test_exact_budget_returns_unresolved():
+def test_exact_over_budget_raises_budget_exceeded():
     """Refused up front when the pair tests alone pass the budget, and
     stopped mid-search when the count vectors do."""
     triangle_pairs = 3 * 2 + 3 * 1
-    for scheme, c, budget in (
-        (make_disjoint_scheme(2000, 2000, 1), 2, tascheme.DEFAULT_STEP_BUDGET),
-        (triangle(), 2, triangle_pairs - 1),
-        (triangle(), 2, triangle_pairs),
+    for scheme, c, budget, message in (
+        (make_disjoint_scheme(2000, 2000, 1), 2, DEFAULT_STEP_BUDGET,
+         "exact verification needs ~3998000000 steps, budget is 1000000000"),
+        (triangle(), 2, triangle_pairs - 1,
+         "exact verification needs ~9 steps, budget is 8"),
+        (triangle(), 2, triangle_pairs,
+         "exact verification ran past its budget of 9 steps"),
     ):
-        verdict = is_traceable_exact(scheme, c, budget=budget)
-        assert verdict.verdict.is_unresolved
-        assert "budget" in verdict.detail
+        with pytest.raises(BudgetExceededError) as refused:
+            is_traceable_exact(scheme, c, budget=budget)
+        assert str(refused.value) == message
 
 
 def test_exact_disjoint_256_8_32_c4_certified_true():
