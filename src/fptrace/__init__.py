@@ -22,12 +22,8 @@ from .fpcode import (
     Code,
     CodeFormatError,
     FeasibleDefinition,
-    FeasiblePattern,
     FrameproofVerdict,
     construct_identity_concat,
-    enumerate_feasible,
-    feasible_contains,
-    feasible_pattern,
     is_frameproof,
     min_distance,
     parse_code,

@@ -180,15 +180,6 @@ def ssw_upper(l: int, c: int, s: int = 2) -> int:
     return c * (s ** (-(-l // c)) - 1)
 
 
-def rejected_upper_bound_variant(l: int, c: int, s: int = 2) -> int:
-    """Reference only: the variant bound s^ceil(l/c) + 2c - 2.
-
-    Recorded because it circulates alongside the bound used here, but it is
-    not sound for c-frame-proof codes, so no contradiction logic consumes it.
-    """
-    return s ** (-(-l // c)) + 2 * c - 2
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Side-by-side certified comparison of a claimed lower bound and a

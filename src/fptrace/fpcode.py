@@ -21,9 +21,9 @@ position where all members agree; under coordinate sets with s > 2 iff none
 of x's (position, symbol) bits lies outside the members' OR.  That test is
 the step of the shared step budget (``rigor.DEFAULT_STEP_BUDGET``): a check
 whose pair tests exceed it is refused up front with ``BudgetExceededError``.
-Verdicts, witnesses and budget refusals are those of the symbol-by-symbol
-test of :func:`feasible_contains` on :func:`feasible_pattern`; those two and
-:func:`enumerate_feasible` serve as the renderer and the oracles.
+Verdicts, witnesses and budget refusals are those of a symbol-by-symbol
+membership test on the coalition's per-position feasible symbols, which the
+test suite keeps as the reference.
 Words are tuples of symbols with position 0 leftmost in the textual format.
 """
 
@@ -32,15 +32,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, prod
-from typing import Iterable, Optional, Sequence, Tuple
+from math import comb
+from typing import Iterable, Optional, Tuple
 
 from .rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError, check_step_budget
 
 Word = Tuple[int, ...]
 
 MAX_ALPHABET = 16
-ENUMERATION_LIMIT = 1 << 20
 
 _SYMBOLS = "0123456789abcdef"
 
@@ -99,32 +98,6 @@ class Code:
 
 
 @dataclass(frozen=True)
-class FeasiblePattern:
-    """Per-position symbol constraints describing a coalition's feasible set."""
-
-    allowed: Tuple[frozenset, ...]
-    s: int
-    definition: FeasibleDefinition
-
-    @property
-    def length(self) -> int:
-        return len(self.allowed)
-
-    def is_fixed(self, position: int) -> bool:
-        return len(self.allowed[position]) == 1
-
-    def size(self) -> int:
-        """Number of words in the feasible set."""
-        return prod(len(a) for a in self.allowed)
-
-    def constraint_str(self) -> str:
-        """Fixed symbol per position, '*' where more than one symbol fits."""
-        return "".join(
-            _SYMBOLS[next(iter(a))] if len(a) == 1 else "*" for a in self.allowed
-        )
-
-
-@dataclass(frozen=True)
 class FrameWitness:
     coalition: Tuple[int, ...]
     framed: int
@@ -134,59 +107,6 @@ class FrameWitness:
 class FrameproofVerdict:
     is_frameproof: bool
     witness: Optional[FrameWitness] = None
-
-
-def _coalition_indices(code: Code, coalition: Iterable[int]) -> Tuple[int, ...]:
-    idxs = tuple(sorted(set(coalition)))
-    if not idxs:
-        raise DomainError("coalition must be nonempty")
-    if idxs[0] < 0 or idxs[-1] >= code.n:
-        raise DomainError(f"coalition indices must lie in [0, {code.n - 1}]")
-    return idxs
-
-
-def feasible_pattern(
-    code: Code,
-    coalition: Iterable[int],
-    definition: FeasibleDefinition = FeasibleDefinition.UNANIMITY,
-) -> FeasiblePattern:
-    """Constraint record for the words a coalition can assemble."""
-    idxs = _coalition_indices(code, coalition)
-    rows = [code.codewords[i] for i in idxs]
-    full = frozenset(range(code.s))
-    allowed = []
-    for position in range(code.length):
-        seen = frozenset(row[position] for row in rows)
-        if definition is FeasibleDefinition.UNANIMITY and len(seen) > 1:
-            allowed.append(full)
-        else:
-            allowed.append(seen)
-    return FeasiblePattern(tuple(allowed), code.s, definition)
-
-
-def feasible_contains(pattern: FeasiblePattern, word: Sequence[int]) -> bool:
-    """Whether a word satisfies every per-position constraint."""
-    if len(word) != pattern.length:
-        raise DomainError(
-            f"word length {len(word)} does not match pattern length {pattern.length}"
-        )
-    return all(sym in allowed for sym, allowed in zip(word, pattern.allowed))
-
-
-def enumerate_feasible(
-    code: Code,
-    coalition: Iterable[int],
-    definition: FeasibleDefinition = FeasibleDefinition.UNANIMITY,
-    limit: int = ENUMERATION_LIMIT,
-) -> set:
-    """The full feasible set, as a set of words.  Brute-force oracle for
-    :func:`feasible_contains`; guarded by ``limit`` on the set size."""
-    pattern = feasible_pattern(code, coalition, definition)
-    total = pattern.size()
-    if total > limit:
-        raise BudgetExceededError(f"feasible set has {total} words, limit is {limit}")
-    choices = [sorted(a) for a in pattern.allowed]
-    return set(itertools.product(*choices))
 
 
 def _one_hot_keys(code: Code) -> list:

@@ -18,8 +18,9 @@ never contains a positive integer:
   is bounded by w*(1/w + 1/a - 1/2), which is nonpositive unless
   1/w + 1/a > 1/2;
 * four case checks dispose of the families (unit weight, weight two,
-  coalition two, finite pairs) on a probe grid, with monotone analytic
-  bounds covering what lies beyond the grid;
+  coalition two, finite pairs) for every a and w: each certifies a few base
+  points and the numeric premise of one analytic lemma covering the rest, so
+  the case analysis costs the same few dozen comparisons for any grid;
 * an either-or classifier shows that individual integers can satisfy one
   side of the window or the other, never both.
 
@@ -305,7 +306,12 @@ def weight_two_margin(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> E
 
 
 def entropy_log_bound_check(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Certainty:
-    """Certify H(1/a) < (log2 a + log2 e)/a (strict for every integer a >= 2)."""
+    """Certify H(1/a) < (log2 a + log2 e)/a at one a.
+
+    The cap holds for every a >= 2: H(1/a) = log2(a)/a + (1 - 1/a)*log2(1 + x)
+    with x = 1/(a - 1), and ln(1 + x) < x gives (1 - 1/a)*log2(1 + x) <
+    (1 - 1/a)*x*log2(e) = log2(e)/a.  So callers certify it at a = 2 only.
+    """
     if a < 2:
         raise DomainError("a must be >= 2")
 
@@ -320,7 +326,11 @@ def entropy_log_bound_check(a: int, precision_bits: int = DEFAULT_PRECISION_BITS
 
 @dataclass(frozen=True)
 class CaseUnitWeight:
-    """w = 1: the window upper stays below 1, so no positive integer fits."""
+    """w = 1: the window upper stays below 1, so no positive integer fits.
+
+    The upper is capped by :func:`unit_weight_bound`, which decreases in a
+    (certified as log2 e > 1) and is below 1 at a = 2.
+    """
 
     probe_max: int
     windows_upper_lt_1: Certainty
@@ -333,8 +343,10 @@ class CaseWeightTwo:
     """w = 2: the margin expression is positive only up to a = 18, and the
     window never reaches 1, so no positive integer fits.
 
-    The window's exact lower end 1 - 2/a is below 1 as well; both facts are
-    recorded, with emptiness certified directly from the window itself.
+    Emptiness comes from the window upper, certified below 1 for a <= 18,
+    and from f(2, a) < margin < 0 for a >= 19, which the certified sign at
+    19 and log2 e < 3/2 give for every such a.  The window's exact lower
+    end 1 - 2/a is below 1 as well.
     """
 
     probe_max: int
@@ -350,7 +362,8 @@ class CaseWeightTwo:
 
 @dataclass(frozen=True)
 class CaseCoalitionTwo:
-    """a = 2: f(w, 2) = w/(2 log2(2w)) - w/2 + 1 is strictly decreasing and
+    """a = 2: f(w, 2) = w/(2 log2(2w)) - w/2 + 1 falls by more than 1/4 per
+    unit step (``f_decreasing`` carries the premise log2 e > 1) and is
     positive only at w = 2 and w = 3, where the window upper is below 1."""
 
     probe_max: int
@@ -399,130 +412,94 @@ class CasesReport:
 def verify_cases(
     c_probe_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> CasesReport:
-    """Certify the four family cases on the probe grid [2, c_probe_max]."""
+    """Certify the four family cases for every a >= 2 (every w >= 2 in the
+    coalition-two family).
+
+    Each family costs a fixed number of certified comparisons: a few base
+    points plus the numeric premise of one lemma that covers the rest of the
+    family, so the cost does not grow with ``c_probe_max``, which is kept as
+    the reported probe extent.  The lemmas' algebra is spelled out next to
+    their premises; every one rests on the entropy cap
+    H(1/a) < (log2 a + log2 e)/a (see :func:`entropy_log_bound_check`).
+    """
     if c_probe_max < MIN_SCAN_C:
         raise DomainError(f"case analysis needs c_probe_max >= {MIN_SCAN_C}")
-    grid = range(2, c_probe_max + 1)
 
-    # (a) unit weight
-    upper_certs = [
-        certify_less(
-            lambda bits, a=a: window_upper(1, a, bits),
-            lambda bits: Enclosure.point(1),
-            precision_bits,
-        )
-        for a in grid
-    ]
-    bound_certs = [
-        certify_less(
-            lambda bits, a=a: unit_weight_bound(a, bits),
-            lambda bits: Enclosure.point(1),
-            precision_bits,
-        )
-        for a in grid
-    ]
-    decreasing_certs = [
-        certify_less(
-            lambda bits, a=a: unit_weight_bound(a + 1, bits),
-            lambda bits, a=a: unit_weight_bound(a, bits),
-            precision_bits,
-        )
-        for a in range(2, c_probe_max)
-    ]
+    def below(make_a, bound: Rational) -> Certainty:
+        return certify_less(make_a, lambda bits: Enclosure.point(bound), precision_bits)
+
+    def above(bound: Rational, make_b) -> Certainty:
+        return certify_less(lambda bits: Enclosure.point(bound), make_b, precision_bits)
+
+    entropy_cap = entropy_log_bound_check(2, precision_bits)
+
+    # (a) unit weight.  By the entropy cap, window_upper(1, a) =
+    # (H(1/a) - 1/a) * a / (2 log2 a) < (log2 a + log2 e - 1)/(2 log2 a),
+    # which is unit_weight_bound(a) = (1 + (log2 e - 1)/log2 a)/2.  That bound
+    # decreases in a exactly when log2 e > 1, so its value at a = 2 caps it
+    # for every a.
+    log2e_gt_1 = above(1, log2_e_enclosure)
+    bound_lt_1 = certainty_all(below(lambda bits: unit_weight_bound(2, bits), 1), log2e_gt_1)
     case_a = CaseUnitWeight(
         probe_max=c_probe_max,
-        windows_upper_lt_1=certainty_all(*upper_certs),
-        analytic_bound_lt_1=certainty_all(*bound_certs),
-        analytic_bound_decreasing=certainty_all(*decreasing_certs),
+        windows_upper_lt_1=certainty_all(entropy_cap, bound_lt_1),
+        analytic_bound_lt_1=bound_lt_1,
+        analytic_bound_decreasing=log2e_gt_1,
     )
 
-    # (b) weight two
+    # (b) weight two.  By the entropy cap, f(2, a) < weight_two_margin(a),
+    # and margin(a) < 0 iff g(a) = (2 - log2 e)*a - 2*(log2 a + 1) > 0
+    # (multiply through by a*(log2 a + 1) > 0).  For a >= 6,
+    # g'(a) = 2 - log2 e - 2*log2(e)/a >= 2 - (4/3)*log2 e, which is positive
+    # exactly when log2 e < 3/2; so the certified negative margin at a = 19
+    # covers every a >= 19, where f < 0 empties the window.  Below 19 the
+    # margin is positive, and the window upper is certified below 1 instead.
     signs = {
-        a: certify_less(
-            lambda bits: Enclosure.point(0),
-            lambda bits, a=a: weight_two_margin(a, bits),
-            precision_bits,
-        )
-        for a in grid
+        a: above(0, lambda bits, a=a: weight_two_margin(a, bits)) for a in range(2, 19)
     }
-    positive_as = [a for a, sign in signs.items() if sign.is_true]
-    sign_coverage = [
-        Certainty.true() if not sign.is_unresolved else sign for sign in signs.values()
-    ]
-    sign_19 = certify_less(
-        lambda bits: weight_two_margin(19, bits),
-        lambda bits: Enclosure.point(0),
-        precision_bits,
+    sign_19 = below(lambda bits: weight_two_margin(19, bits), 0)
+    margins_negative_from_19 = certainty_all(
+        sign_19, below(log2_e_enclosure, Fraction(3, 2))
     )
-    windows_b = [
-        delta_window(2, a, precision_bits).integer_exists for a in grid
-    ]
-    empties = [
-        Certainty.true() if c.is_false else Certainty.false() if c.is_true else c
-        for c in windows_b
-    ]
-    uppers_b = [
-        certify_less(
-            lambda bits, a=a: window_upper(2, a, bits),
-            lambda bits: Enclosure.point(1),
-            precision_bits,
-        )
-        for a in range(2, min(18, c_probe_max) + 1)
-    ]
+    uppers_b = certainty_all(
+        *(below(lambda bits, a=a: window_upper(2, a, bits), 1) for a in range(2, 19))
+    )
     case_b = CaseWeightTwo(
         probe_max=c_probe_max,
-        positive_as=tuple(positive_as),
-        signs_resolved=certainty_all(*sign_coverage),
+        positive_as=tuple(a for a, sign in signs.items() if sign.is_true),
+        signs_resolved=certainty_all(
+            *(sign for sign in signs.values() if sign.is_unresolved),
+            margins_negative_from_19,
+        ),
         sign_change_at_19=certainty_all(signs[18], sign_19),
         margin_at_18=weight_two_margin(18, precision_bits),
         margin_at_19=weight_two_margin(19, precision_bits),
-        windows_empty=certainty_all(*empties),
-        uppers_lt_1_through_18=certainty_all(*uppers_b),
-        lowers_lt_1=all(window_lower(2, a) < 1 for a in grid),
+        windows_empty=certainty_all(uppers_b, entropy_cap, margins_negative_from_19),
+        uppers_lt_1_through_18=uppers_b,
+        lowers_lt_1=all(window_lower(2, a) < 1 for a in range(2, 20)),  # 1 - 2/a
     )
 
-    # (c) coalition parameter two
-    positive_ws = []
-    for w in range(2, c_probe_max + 1):
-        sign = certify_less(
-            lambda bits: Enclosure.point(0),
-            lambda bits, w=w: f_value(w, 2, bits),
-            precision_bits,
-        )
-        if sign.is_true:
-            positive_ws.append(w)
-    uppers_c = [
-        certify_less(
-            lambda bits, w=w: window_upper(w, 2, bits),
-            lambda bits: Enclosure.point(1),
-            precision_bits,
-        )
-        for w in positive_ws
-    ]
-    f_decr = [
-        certify_less(
-            lambda bits, w=w: f_value(w + 1, 2, bits),
-            lambda bits, w=w: f_value(w, 2, bits),
-            precision_bits,
-        )
-        for w in range(2, c_probe_max)
-    ]
+    # (c) coalition parameter two: f(w, 2) = u(w) - w/2 + 1 with
+    # u(w) = w/(2L), L = log2(2w).  u'(w) = 1/(2L) - log2(e)/(2L^2) < 1/(2L),
+    # since log2 e > 0 (certified above as log2 e > 1), and 1/(2L) <= 1/4 for
+    # w >= 2; so f falls by more than 1/4 per unit step.  The signs at
+    # w = 2, 3, 4 (f(4, 2) = -1/3) then decide every w >= 2: a w whose sign
+    # is not certified negative counts as positive.
+    signs_c = {w: above(0, lambda bits, w=w: f_value(w, 2, bits)) for w in (2, 3, 4)}
+    positive_ws = tuple(w for w, sign in signs_c.items() if not sign.is_false)
     case_c = CaseCoalitionTwo(
         probe_max=c_probe_max,
-        positive_ws=tuple(positive_ws),
+        positive_ws=positive_ws,
         f_at_positive=tuple((w, f_value(w, 2, precision_bits)) for w in positive_ws),
-        uppers_lt_1_on_positive=certainty_all(*uppers_c),
-        f_decreasing=certainty_all(*f_decr),
+        uppers_lt_1_on_positive=certainty_all(
+            *(below(lambda bits, w=w: window_upper(w, 2, bits), 1) for w in positive_ws)
+        ),
+        f_decreasing=log2e_gt_1,
     )
 
     # (d) finite pairs
     neg_certs = [
-        certify_less(
-            lambda bits, w=w, a=a: f_value(w, a, bits),
-            lambda bits: Enclosure.point(0),
-            precision_bits,
-        )
-        for w, a in FINITE_PAIRS
+        below(lambda bits, w=w, a=a: f_value(w, a, bits), 0) for w, a in FINITE_PAIRS
     ]
     case_d = CaseFinitePairs(pairs=FINITE_PAIRS, f_negative=certainty_all(*neg_certs))
 
@@ -636,9 +613,9 @@ def scan_infeasibility(
             "(below the minimum probe extents of the case analysis)"
         )
 
-    entropy_grid = certainty_all(
-        *(entropy_log_bound_check(a, precision_bits) for a in range(2, c_max + 1))
-    )
+    # the entropy cap holds for every a >= 2 (see entropy_log_bound_check),
+    # so one certified instance stands for the whole grid
+    entropy_grid = entropy_log_bound_check(2, precision_bits)
     log2e_lt_2 = certify_less(
         lambda bits: log2_e_enclosure(bits),
         lambda bits: Enclosure.point(2),
@@ -737,10 +714,10 @@ class CollapseReport:
 
     Substituting sigma = (H(1/a) - 1/a)/2 and l = w*a into the log-length
     cap, then applying the entropy cap H(1/a) <= (log2 a + log2 e)/a and
-    a/(a-1) <= 2, leaves log2(w) < (log2 e - 1 - log2 a)/2, which is
-    certified negative on the probe grid; monotonicity of log2 makes the
-    right side strictly decreasing in a, which covers every a >= 2 beyond
-    and between probe points.
+    a/(a-1) <= 2, leaves log2(w) < (log2 e - 1 - log2 a)/2.  The right side
+    is certified negative at a = 2, and monotonicity of log2 makes it
+    strictly decreasing in a, which covers every a >= 2.  ``probe`` is the
+    display grid of a values that the report covers, not a list of checks.
     """
 
     precision_bits: int
@@ -776,24 +753,22 @@ def weight_log_cap(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Encl
 def theorem10_statement_collapse(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> CollapseReport:
-    """Certify the statement-level contradiction over the probe grid."""
-    probe = _collapse_probe_grid()
-    rhs_certs = [
-        certify_less(
-            lambda bits, a=a: weight_log_cap(a, bits),
-            lambda bits: Enclosure.point(0),
-            precision_bits,
-        )
-        for a in probe
-    ]
-    entropy_certs = [entropy_log_bound_check(a, precision_bits) for a in probe]
+    """Certify the statement-level contradiction for every a >= 2.
+
+    Two certified comparisons: the cap at a = 2 (the cap decreases in a) and
+    the entropy cap at a = 2 (it holds for every a >= 2).
+    """
     return CollapseReport(
         precision_bits=precision_bits,
-        probe=probe,
-        rhs_negative=certainty_all(*rhs_certs),
+        probe=_collapse_probe_grid(),
+        rhs_negative=certify_less(
+            lambda bits: weight_log_cap(2, bits),
+            lambda bits: Enclosure.point(0),
+            precision_bits,
+        ),
         rhs_at_2=weight_log_cap(2, precision_bits),
         rhs_at_3=weight_log_cap(3, precision_bits),
-        entropy_bound=certainty_all(*entropy_certs),
+        entropy_bound=entropy_log_bound_check(2, precision_bits),
         monotone_note=(
             "the cap (log2 e - 1 - log2 a)/2 is strictly decreasing in a "
             "because log2 is strictly increasing, so its certified "

@@ -9,34 +9,66 @@ library's integer mask tests.  The minimum-distance and candidate-filter
 references are the symbol-by-symbol loop and the full grid enumeration that
 the library's packed-word and closed-form versions replaced, and the exact
 traceability reference enumerates every pirate instead of searching count
-vectors per (coalition, outsider) pair.
+vectors per (coalition, outsider) pair.  The case-analysis and collapse
+references certify every grid point that the library's base points and
+monotonicity lemmas stand for.  The rejected bound variant lives here because
+only its test uses it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Tuple
+from math import comb, prod
+from typing import Iterable, Sequence, Tuple
 
 from fptrace.fpcode import (
     Code,
     FeasibleDefinition,
     FrameproofVerdict,
     FrameWitness,
-    enumerate_feasible,
-    feasible_contains,
-    feasible_pattern,
 )
-from fptrace.paramscan import CaseTag, classify_pair
-from fptrace.rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, Certainty, DomainError
+from fptrace.paramscan import (
+    FINITE_PAIRS,
+    MIN_SCAN_C,
+    CaseCoalitionTwo,
+    CaseFinitePairs,
+    CasesReport,
+    CaseTag,
+    CaseUnitWeight,
+    CaseWeightTwo,
+    CollapseReport,
+    _collapse_probe_grid,
+    classify_pair,
+    delta_window,
+    entropy_log_bound_check,
+    f_value,
+    unit_weight_bound,
+    weight_log_cap,
+    weight_two_margin,
+    window_lower,
+    window_upper,
+)
+from fptrace.rigor import (
+    DEFAULT_PRECISION_BITS,
+    DEFAULT_STEP_BUDGET,
+    BudgetExceededError,
+    Certainty,
+    DomainError,
+    Enclosure,
+    certainty_all,
+    certify_less,
+)
 from fptrace.tascheme import (
     KeyScheme,
     TAVerdict,
     TAWitness,
     _trace_violation,
 )
+
+ENUMERATION_LIMIT = 1 << 20
 
 
 def log2_bit_expansion(x: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
@@ -111,6 +143,86 @@ def random_code(rng: random.Random, n_max: int = 4, l_max: int = 8, s: int = 2) 
         words.add(tuple(rng.randrange(s) for _ in range(length)))
         attempts += 1
     return Code(tuple(sorted(words)), s)
+
+
+@dataclass(frozen=True)
+class FeasiblePattern:
+    """Per-position symbol constraints describing a coalition's feasible set."""
+
+    allowed: Tuple[frozenset, ...]
+    s: int
+    definition: FeasibleDefinition
+
+    @property
+    def length(self) -> int:
+        return len(self.allowed)
+
+    def is_fixed(self, position: int) -> bool:
+        return len(self.allowed[position]) == 1
+
+    def size(self) -> int:
+        """Number of words in the feasible set."""
+        return prod(len(a) for a in self.allowed)
+
+    def constraint_str(self) -> str:
+        """Fixed symbol per position, '*' where more than one symbol fits."""
+        return "".join(
+            "0123456789abcdef"[next(iter(a))] if len(a) == 1 else "*" for a in self.allowed
+        )
+
+
+def _coalition_indices(code: Code, coalition: Iterable[int]) -> Tuple[int, ...]:
+    idxs = tuple(sorted(set(coalition)))
+    if not idxs:
+        raise DomainError("coalition must be nonempty")
+    if idxs[0] < 0 or idxs[-1] >= code.n:
+        raise DomainError(f"coalition indices must lie in [0, {code.n - 1}]")
+    return idxs
+
+
+def feasible_pattern(
+    code: Code,
+    coalition: Iterable[int],
+    definition: FeasibleDefinition = FeasibleDefinition.UNANIMITY,
+) -> FeasiblePattern:
+    """Constraint record for the words a coalition can assemble: the
+    symbols each position may take under ``definition``."""
+    idxs = _coalition_indices(code, coalition)
+    rows = [code.codewords[i] for i in idxs]
+    full = frozenset(range(code.s))
+    allowed = []
+    for position in range(code.length):
+        seen = frozenset(row[position] for row in rows)
+        if definition is FeasibleDefinition.UNANIMITY and len(seen) > 1:
+            allowed.append(full)
+        else:
+            allowed.append(seen)
+    return FeasiblePattern(tuple(allowed), code.s, definition)
+
+
+def feasible_contains(pattern: FeasiblePattern, word: Sequence[int]) -> bool:
+    """Whether a word satisfies every per-position constraint."""
+    if len(word) != pattern.length:
+        raise DomainError(
+            f"word length {len(word)} does not match pattern length {pattern.length}"
+        )
+    return all(sym in allowed for sym, allowed in zip(word, pattern.allowed))
+
+
+def enumerate_feasible(
+    code: Code,
+    coalition: Iterable[int],
+    definition: FeasibleDefinition = FeasibleDefinition.UNANIMITY,
+    limit: int = ENUMERATION_LIMIT,
+) -> set:
+    """The full feasible set, as a set of words.  Brute-force oracle for
+    :func:`feasible_contains`; guarded by ``limit`` on the set size."""
+    pattern = feasible_pattern(code, coalition, definition)
+    total = pattern.size()
+    if total > limit:
+        raise BudgetExceededError(f"feasible set has {total} words, limit is {limit}")
+    choices = [sorted(a) for a in pattern.allowed]
+    return set(itertools.product(*choices))
 
 
 def frameproof_by_enumeration(code: Code, c: int, definition: FeasibleDefinition) -> bool:
@@ -224,3 +336,177 @@ def planted_overlap_scheme(rng: random.Random, l: int, n: int, k: int) -> KeySch
         if planted not in decoders:
             decoders.insert(rng.randrange(n), planted)
             return KeyScheme(l, tuple(frozenset(d) for d in decoders))
+
+
+def rejected_upper_bound_variant(l: int, c: int, s: int = 2) -> int:
+    """Reference only: the variant bound s^ceil(l/c) + 2c - 2.
+
+    Recorded because it circulates alongside the bound used here, but it is
+    not sound for c-frame-proof codes, so no contradiction logic consumes it.
+    """
+    return s ** (-(-l // c)) + 2 * c - 2
+
+
+def verify_cases_grid_reference(
+    c_probe_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> CasesReport:
+    """Slow reference for ``verify_cases``: certify each family at every
+    grid point a (or w) in [2, c_probe_max], with pairwise decreasing checks
+    in place of the monotonicity lemmas."""
+    if c_probe_max < MIN_SCAN_C:
+        raise DomainError(f"case analysis needs c_probe_max >= {MIN_SCAN_C}")
+    grid = range(2, c_probe_max + 1)
+
+    # (a) unit weight
+    upper_certs = [
+        certify_less(
+            lambda bits, a=a: window_upper(1, a, bits),
+            lambda bits: Enclosure.point(1),
+            precision_bits,
+        )
+        for a in grid
+    ]
+    bound_certs = [
+        certify_less(
+            lambda bits, a=a: unit_weight_bound(a, bits),
+            lambda bits: Enclosure.point(1),
+            precision_bits,
+        )
+        for a in grid
+    ]
+    decreasing_certs = [
+        certify_less(
+            lambda bits, a=a: unit_weight_bound(a + 1, bits),
+            lambda bits, a=a: unit_weight_bound(a, bits),
+            precision_bits,
+        )
+        for a in range(2, c_probe_max)
+    ]
+    case_a = CaseUnitWeight(
+        probe_max=c_probe_max,
+        windows_upper_lt_1=certainty_all(*upper_certs),
+        analytic_bound_lt_1=certainty_all(*bound_certs),
+        analytic_bound_decreasing=certainty_all(*decreasing_certs),
+    )
+
+    # (b) weight two
+    signs = {
+        a: certify_less(
+            lambda bits: Enclosure.point(0),
+            lambda bits, a=a: weight_two_margin(a, bits),
+            precision_bits,
+        )
+        for a in grid
+    }
+    positive_as = [a for a, sign in signs.items() if sign.is_true]
+    sign_coverage = [
+        Certainty.true() if not sign.is_unresolved else sign for sign in signs.values()
+    ]
+    sign_19 = certify_less(
+        lambda bits: weight_two_margin(19, bits),
+        lambda bits: Enclosure.point(0),
+        precision_bits,
+    )
+    windows_b = [
+        delta_window(2, a, precision_bits).integer_exists for a in grid
+    ]
+    empties = [
+        Certainty.true() if c.is_false else Certainty.false() if c.is_true else c
+        for c in windows_b
+    ]
+    uppers_b = [
+        certify_less(
+            lambda bits, a=a: window_upper(2, a, bits),
+            lambda bits: Enclosure.point(1),
+            precision_bits,
+        )
+        for a in range(2, min(18, c_probe_max) + 1)
+    ]
+    case_b = CaseWeightTwo(
+        probe_max=c_probe_max,
+        positive_as=tuple(positive_as),
+        signs_resolved=certainty_all(*sign_coverage),
+        sign_change_at_19=certainty_all(signs[18], sign_19),
+        margin_at_18=weight_two_margin(18, precision_bits),
+        margin_at_19=weight_two_margin(19, precision_bits),
+        windows_empty=certainty_all(*empties),
+        uppers_lt_1_through_18=certainty_all(*uppers_b),
+        lowers_lt_1=all(window_lower(2, a) < 1 for a in grid),
+    )
+
+    # (c) coalition parameter two
+    positive_ws = []
+    for w in range(2, c_probe_max + 1):
+        sign = certify_less(
+            lambda bits: Enclosure.point(0),
+            lambda bits, w=w: f_value(w, 2, bits),
+            precision_bits,
+        )
+        if sign.is_true:
+            positive_ws.append(w)
+    uppers_c = [
+        certify_less(
+            lambda bits, w=w: window_upper(w, 2, bits),
+            lambda bits: Enclosure.point(1),
+            precision_bits,
+        )
+        for w in positive_ws
+    ]
+    f_decr = [
+        certify_less(
+            lambda bits, w=w: f_value(w + 1, 2, bits),
+            lambda bits, w=w: f_value(w, 2, bits),
+            precision_bits,
+        )
+        for w in range(2, c_probe_max)
+    ]
+    case_c = CaseCoalitionTwo(
+        probe_max=c_probe_max,
+        positive_ws=tuple(positive_ws),
+        f_at_positive=tuple((w, f_value(w, 2, precision_bits)) for w in positive_ws),
+        uppers_lt_1_on_positive=certainty_all(*uppers_c),
+        f_decreasing=certainty_all(*f_decr),
+    )
+
+    # (d) finite pairs
+    neg_certs = [
+        certify_less(
+            lambda bits, w=w, a=a: f_value(w, a, bits),
+            lambda bits: Enclosure.point(0),
+            precision_bits,
+        )
+        for w, a in FINITE_PAIRS
+    ]
+    case_d = CaseFinitePairs(pairs=FINITE_PAIRS, f_negative=certainty_all(*neg_certs))
+
+    return CasesReport(case_a, case_b, case_c, case_d)
+
+
+def collapse_grid_reference(
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> CollapseReport:
+    """Slow reference for ``theorem10_statement_collapse``: certify the cap
+    and the entropy cap at every one of the 303 probe points."""
+    probe = _collapse_probe_grid()
+    rhs_certs = [
+        certify_less(
+            lambda bits, a=a: weight_log_cap(a, bits),
+            lambda bits: Enclosure.point(0),
+            precision_bits,
+        )
+        for a in probe
+    ]
+    entropy_certs = [entropy_log_bound_check(a, precision_bits) for a in probe]
+    return CollapseReport(
+        precision_bits=precision_bits,
+        probe=probe,
+        rhs_negative=certainty_all(*rhs_certs),
+        rhs_at_2=weight_log_cap(2, precision_bits),
+        rhs_at_3=weight_log_cap(3, precision_bits),
+        entropy_bound=certainty_all(*entropy_certs),
+        monotone_note=(
+            "the cap (log2 e - 1 - log2 a)/2 is strictly decreasing in a "
+            "because log2 is strictly increasing, so its certified "
+            "negativity at a = 2 extends to every a >= 2"
+        ),
+    )

@@ -10,13 +10,14 @@ from fptrace.bounds import (
     contradiction_report_thm6,
     contradiction_report_thm7,
     is_prime_power,
-    rejected_upper_bound_variant,
     sigma_constraint,
     ssw_upper,
     thm6_lower,
     thm7_lower,
 )
 from fptrace.rigor import DomainError, log2_enclosure
+
+from tests.helpers import rejected_upper_bound_variant
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,6 @@ from fptrace.fpcode import (
     CodeFormatError,
     FeasibleDefinition,
     construct_identity_concat,
-    enumerate_feasible,
-    feasible_contains,
-    feasible_pattern,
     format_code,
     is_frameproof,
     min_distance,
@@ -24,6 +21,9 @@ from fptrace.fpcode import (
 from fptrace.rigor import DomainError
 
 from tests.helpers import (
+    enumerate_feasible,
+    feasible_contains,
+    feasible_pattern,
     frameproof_by_enumeration,
     frameproof_reference,
     min_distance_reference,
@@ -343,6 +343,22 @@ def test_parse_errors_carry_line_numbers():
         parse_code("# nothing\n")
     with pytest.raises(CodeFormatError):
         parse_code("01\n01\n")  # duplicate codewords
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789abcdefABCDEFgx #\t\r\n", max_size=120),
+    ),
+    st.one_of(st.none(), st.integers(2, 16)),
+)
+@settings(max_examples=600, deadline=None)
+def test_parse_code_raises_only_format_errors(text, s):
+    """Arbitrary text either parses or is refused with CodeFormatError."""
+    try:
+        parse_code(text, s)
+    except CodeFormatError:
+        pass
 
 
 def test_code_validation():

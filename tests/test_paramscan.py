@@ -31,7 +31,11 @@ from fptrace.paramscan import (
 )
 from fptrace.rigor import DomainError, Enclosure, certify_less
 
-from tests.helpers import candidate_filter_reference
+from tests.helpers import (
+    candidate_filter_reference,
+    collapse_grid_reference,
+    verify_cases_grid_reference,
+)
 
 FINITE_PAIRS = ((3, 3), (3, 4), (3, 5), (4, 3), (5, 3))
 
@@ -227,6 +231,28 @@ def test_verify_cases_probe_floor():
         verify_cases(18)
 
 
+@pytest.mark.parametrize("c_probe_max, bits", [(19, 64), (64, 64), (256, 64), (19, 2), (64, 1024)])
+def test_verify_cases_matches_grid_reference(c_probe_max, bits):
+    """The base points and family lemmas reach the report that certifying
+    every grid point does, field for field."""
+    assert verify_cases(c_probe_max, bits) == verify_cases_grid_reference(c_probe_max, bits)
+
+
+def test_verify_cases_cost_does_not_grow_with_probe_extent(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certify_less(*args, **kwargs)
+
+    monkeypatch.setattr(paramscan, "certify_less", counted)
+    verify_cases(19)
+    at_19 = len(calls)
+    calls.clear()
+    verify_cases(1024)
+    assert len(calls) == at_19
+
+
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
@@ -291,6 +317,12 @@ def test_collapse_report():
     assert rep.rhs_at_2.hi < 0
     assert rep.rhs_at_2.lo > F("-0.27866") and rep.rhs_at_2.hi < F("-0.27865")
     assert rep.rhs_at_3.lo > F("-0.57114") and rep.rhs_at_3.hi < F("-0.57113")
+
+
+def test_collapse_matches_grid_reference():
+    """Certifying a = 2 alone gives the report of certifying all 303 probes,
+    ``rhs_negative`` and ``entropy_bound`` included."""
+    assert theorem10_statement_collapse() == collapse_grid_reference()
 
 
 def test_weight_log_cap_monotone_on_sample():

@@ -190,6 +190,36 @@ def test_log2_e():
     assert enc.lo > F("1.4426950408889634") and enc.hi < F("1.4426950408889635")
 
 
+@pytest.mark.parametrize("bits", [2, 64, 1024, 4096])
+def test_enclosures_contain_mpmath_values(bits):
+    """Every enclosure holds mpmath's value computed 200 bits finer, and is
+    no wider than 2^-bits.  mpmath is an optional, test-only cross-check."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.prec = bits + 200
+
+    def exact(value):
+        return F(*mpmath.libmp.to_rational(value._mpf_))
+
+    def rational(x):
+        return ctx.mpf(x.numerator) / x.denominator
+
+    def entropy(p):
+        return -(p * ctx.log(p, 2) + (1 - p) * ctx.log(1 - p, 2))
+
+    xs = [F(1, 3), F(3), F(10), F(7, 5), F(1000), F(1, 1000), F(2**100 + 1), F(99, 100)]
+    ps = [F(1, 3), F(1, 16), F(7, 10), F(1, 1000), F(999, 1000), F(1, 19)]
+    cases = (
+        [(log2_enclosure(x, bits), ctx.log(rational(x), 2)) for x in xs]
+        + [(entropy_enclosure(p, bits), entropy(rational(p))) for p in ps]
+        + [(sqrt_enclosure(x, bits), ctx.sqrt(rational(x))) for x in xs]
+        + [(log2_e_enclosure(bits), 1 / ctx.ln(2))]
+    )
+    for enc, value in cases:
+        assert enc.lo < exact(value) < enc.hi
+        assert enc.width <= F(1, 2**bits)
+
+
 def test_enclosure_endpoints_pinned():
     """Exact endpoints at 64 bits: the working precision each producer
     starts from (p + 8 for sqrt, p + 16 for log2 and log2 e) is part of

@@ -338,3 +338,27 @@ def test_parse_errors():
         parse_scheme("3 2 2\n0 1\n")
     with pytest.raises(SchemeFormatError, match="line 2"):
         parse_scheme("3 1 2\nx y\n")
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789 -+x#\t\r\n", max_size=120),
+        st.tuples(
+            st.integers(-1, 8),
+            st.integers(0, 3),
+            st.integers(0, 4),
+            st.lists(st.sets(st.integers(-2, 8), max_size=4).map(sorted), max_size=3),
+        ).map(
+            lambda t: f"{t[0]} {t[1]} {t[2]}\n"
+            + "\n".join(" ".join(map(str, row)) for row in t[3])
+        ),
+    )
+)
+@settings(max_examples=600, deadline=None)
+def test_parse_scheme_raises_only_format_errors(text):
+    """Arbitrary text either parses or is refused with SchemeFormatError."""
+    try:
+        parse_scheme(text)
+    except SchemeFormatError:
+        pass
