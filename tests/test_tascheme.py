@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fptrace import tascheme
-from fptrace.rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError
+from fptrace.rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, Certainty, DomainError
 from fptrace.tascheme import (
     KeyScheme,
     SchemeFormatError,
+    TAVerdict,
+    TAWitness,
     format_scheme,
     is_traceable_exact,
     is_traceable_structural_disjoint,
@@ -234,6 +236,41 @@ def test_sampling_recheck_rejects_wrong_outsider(monkeypatch):
         monkeypatch.setattr(tascheme, "_trace_violation", fake)
         with pytest.raises(RuntimeError, match="failed its recheck"):
             sample_traceability(scheme, 2, 10, 1)
+
+
+def keyed(l: int, *decoders) -> KeyScheme:
+    return KeyScheme(l, tuple(frozenset(d) for d in decoders))
+
+
+# Captured from the sampler that draws and traces every trial.  Both schemes
+# hold the decoders {3,4,6}, {4,5,7} and {3,5,8}, any two of which can frame
+# the third, among decoders on disjoint keys.  The first has 21 coalitions of
+# size 2, fewer than its trials; the second has 286 of sizes 2 and 3, more
+# than its trials.
+SPREAD_TRIANGLE_7 = keyed(
+    18, (0, 1, 2), (3, 4, 6), (9, 10, 11), (4, 5, 7), (12, 13, 14), (3, 5, 8), (15, 16, 17)
+)
+SPREAD_TRIANGLE_12 = keyed(
+    36, (15, 16, 17), (3, 4, 6), (21, 22, 23), (4, 5, 7), (27, 28, 29), (3, 5, 8),
+    (33, 34, 35), (9, 10, 11), (12, 13, 14), (18, 19, 20), (24, 25, 26), (30, 31, 32),
+)
+PINNED_SAMPLES = (
+    (SPREAD_TRIANGLE_7, 2, 100, 0,
+     TAWitness((1, 3), (3, 5, 7), 5), "violation at trial 53 of 100 (seed 0)"),
+    (SPREAD_TRIANGLE_7, 2, 100, 4,
+     TAWitness((1, 5), (4, 5, 6), 3), "violation at trial 65 of 100 (seed 4)"),
+    (SPREAD_TRIANGLE_12, 3, 200, 2,
+     TAWitness((0, 1, 10), (4, 17, 24), 3), "violation at trial 74 of 200 (seed 2)"),
+)
+
+
+@pytest.mark.parametrize("scheme, c, trials, seed, witness, detail", PINNED_SAMPLES)
+def test_sampling_draw_stream_pinned(scheme, c, trials, seed, witness, detail):
+    """Whole verdicts of seeded runs whose violation comes after earlier,
+    violation-free trials: the draw order is part of the output."""
+    assert sample_traceability(scheme, c, trials, seed) == TAVerdict(
+        Certainty.false(), witness, detail
+    )
 
 
 def test_sampling_zero_trials_unresolved():
