@@ -20,6 +20,10 @@ so count vectors over at most 2(2^|C| - 1) classes replace the C(|union|, k)
 pirates.  The exact search shares the frame-proof verifier's step budget
 (``rigor.DEFAULT_STEP_BUDGET``): one step per pair test, plus one per count
 vector, and ``BudgetExceededError`` when they pass it.
+
+The sampler applies the same cut to each drawn coalition, and stops once
+every coalition has been drawn without a rival; its draws, and so its seeded
+verdicts, are those of tracing every trial.
 """
 
 from __future__ import annotations
@@ -148,6 +152,28 @@ def _trace_violation(scheme: KeyScheme, coalition: Tuple[int, ...], pirate) -> O
     return None
 
 
+def _key_union(scheme: KeyScheme, coalition: Tuple[int, ...]) -> list:
+    """The sorted keys held by some member of the coalition."""
+    return sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
+
+
+def _coalition_cut(masks: Tuple[int, ...], coalition: Tuple[int, ...], k: int):
+    """The coalition's key-union mask and its rivals: the outsiders sharing
+    at least ceil(k/|C|) keys with the union.  A pirate's k keys come from
+    the |C| members, so some member overlaps it in at least that many keys,
+    and no other outsider can tie it."""
+    union = 0
+    for i in coalition:
+        union |= masks[i]
+    floor = -(-k // len(coalition))
+    members = set(coalition)
+    rivals = [
+        u for u in range(len(masks))
+        if u not in members and (masks[u] & union).bit_count() >= floor
+    ]
+    return union, rivals
+
+
 def is_traceable_exact(
     scheme: KeyScheme, c: int, budget: int = DEFAULT_STEP_BUDGET
 ) -> TAVerdict:
@@ -176,17 +202,12 @@ def is_traceable_exact(
     masks = scheme._masks
     search = _PairSearch(masks, k, budget, pair_tests)
     for size in range(1, top + 1):
-        floor = -(-k // size)
         for coalition in itertools.combinations(range(n), size):
-            union = 0
-            for i in coalition:
-                union |= masks[i]
-            rivals = [
-                u for u in range(n)
-                if u not in coalition and (masks[u] & union).bit_count() >= floor
-            ]
+            union, rivals = _coalition_cut(masks, coalition, k)
             if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
-                pirate = search.first_pirate(coalition, rivals, union)
+                pirate = search.first_pirate(
+                    coalition, rivals, union, _key_union(scheme, coalition)
+                )
                 outsider = _trace_violation(scheme, coalition, pirate)
                 if outsider is None:
                     raise RuntimeError(
@@ -284,11 +305,10 @@ class _PairSearch:
 
         return fill(0, want, caps)
 
-    def first_pirate(self, coalition, rivals, union: int) -> Tuple[int, ...]:
-        """The lexicographically first k keys of ``union`` that some rival
-        ties: k times, the smallest next key after which a tying completion
-        still exists."""
-        keys = [key for key in range(union.bit_length()) if union >> key & 1]
+    def first_pirate(self, coalition, rivals, union: int, keys: list) -> Tuple[int, ...]:
+        """The lexicographically first k keys of ``union`` (whose keys, in
+        increasing order, are ``keys``) that some rival ties: k times, the
+        smallest next key after which a tying completion still exists."""
         pirate, fixed, start = [], 0, 0
         for need in range(self.k - 1, -1, -1):
             for at in range(start, len(keys)):
@@ -333,10 +353,16 @@ def sample_traceability(
 
     Per trial, drawing from one ``random.Random(seed)`` stream in a fixed
     order: coalition size uniform in [2, min(c, n)], then a uniform coalition
-    of that size, then a uniform k-subset of the coalition's key union.  Any
-    violation is re-checked by a direct :func:`trace` call before being
-    emitted.  Sampling can only certify falsehood; with no violation found
-    the verdict stays Unresolved.
+    of that size, then a uniform k-subset of the coalition's sorted key
+    union.  Only a rival, an outsider sharing at least ceil(k/|C|) keys with
+    the union, can tie a pirate, so a pirate is traced only when a rival
+    reaches the best member overlap.  With no more coalitions than trials,
+    each coalition's cut is kept, and drawing stops once every coalition has
+    been drawn and none has a rival: no later trial could violate.  Neither
+    changes the draws before a violation or their order, so the verdict is
+    that of tracing every trial.  Any violation is re-checked by a direct
+    :func:`trace` call before being emitted.  Sampling can only certify
+    falsehood; with no violation found the verdict stays Unresolved.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -349,15 +375,35 @@ def sample_traceability(
             Certainty.unresolved(), detail="0 violations in 0 effective trials"
         )
     rng = random.Random(seed)
-    union_cache: dict = {}
+    masks = scheme._masks
+    coalitions = 0
+    for j in range(2, top + 1):
+        coalitions += comb(n, j)
+        if coalitions > trials:  # at large n and c the full sum takes seconds
+            break
+    keep = coalitions <= trials
+    cuts: dict = {}
     for t in range(trials):
         size = rng.randint(2, top)
         coalition = tuple(sorted(rng.sample(range(n), size)))
-        union = union_cache.get(coalition)
-        if union is None:
-            union = sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
-            union_cache[coalition] = union
-        pirate = tuple(sorted(rng.sample(union, k)))
+        cut = cuts.get(coalition)
+        if cut is None:
+            cut = _key_union(scheme, coalition), _coalition_cut(masks, coalition, k)[1]
+            if keep:
+                cuts[coalition] = cut
+                if len(cuts) == coalitions and not any(rivals for _, rivals in cuts.values()):
+                    break
+        keys, rivals = cut
+        drawn = rng.sample(keys, k)
+        if not rivals:
+            continue
+        pmask = 0
+        for key in drawn:
+            pmask |= 1 << key
+        best = max((pmask & masks[i]).bit_count() for i in coalition)
+        if all((pmask & masks[u]).bit_count() < best for u in rivals):
+            continue
+        pirate = tuple(sorted(drawn))
         outsider = _trace_violation(scheme, coalition, pirate)
         if outsider is not None:
             recheck = trace(scheme, pirate)

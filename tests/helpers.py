@@ -9,10 +9,11 @@ library's integer mask tests.  The minimum-distance and candidate-filter
 references are the symbol-by-symbol loop and the full grid enumeration that
 the library's packed-word and closed-form versions replaced, and the exact
 traceability reference enumerates every pirate instead of searching count
-vectors per (coalition, outsider) pair.  The case-analysis and collapse
-references certify every grid point that the library's base points and
-monotonicity lemmas stand for.  The rejected bound variant lives here because
-only its test uses it.
+vectors per (coalition, outsider) pair.  The sampling reference traces every
+drawn pirate instead of only those a rival can tie.  The case-analysis and
+collapse references certify every grid point that the library's base points
+and monotonicity lemmas stand for.  The rejected bound variant lives here
+because only its test uses it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from fptrace.tascheme import (
     TAVerdict,
     TAWitness,
     _trace_violation,
+    trace,
 )
 
 ENUMERATION_LIMIT = 1 << 20
@@ -321,6 +323,51 @@ def traceable_exact_reference(
                         detail="exhaustive search found a tracing violation",
                     )
     return TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
+
+
+def sample_traceability_reference(
+    scheme: KeyScheme, c: int, trials: int, seed: int
+) -> TAVerdict:
+    """Slow reference for ``sample_traceability``: the same draws in the same
+    order, but every trial traces its pirate against every decoder, and
+    every trial is drawn."""
+    if c < 1:
+        raise DomainError("coalition bound c must be >= 1")
+    if trials < 0:
+        raise DomainError("trials must be nonnegative")
+    n, k = scheme.n, scheme.k
+    top = min(c, n)
+    if trials == 0 or top < 2:
+        return TAVerdict(
+            Certainty.unresolved(), detail="0 violations in 0 effective trials"
+        )
+    rng = random.Random(seed)
+    union_cache: dict = {}
+    for t in range(trials):
+        size = rng.randint(2, top)
+        coalition = tuple(sorted(rng.sample(range(n), size)))
+        union = union_cache.get(coalition)
+        if union is None:
+            union = sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
+            union_cache[coalition] = union
+        pirate = tuple(sorted(rng.sample(union, k)))
+        outsider = _trace_violation(scheme, coalition, pirate)
+        if outsider is not None:
+            recheck = trace(scheme, pirate)
+            if outsider in coalition or outsider not in recheck.argmax_decoders:
+                raise RuntimeError(
+                    f"sampled witness failed its recheck: decoder {outsider} is not an "
+                    f"outside maximum-overlap decoder for pirate {list(pirate)}"
+                )
+            return TAVerdict(
+                Certainty.false(),
+                TAWitness(coalition, pirate, outsider),
+                detail=f"violation at trial {t} of {trials} (seed {seed})",
+            )
+    return TAVerdict(
+        Certainty.unresolved(),
+        detail=f"0 violations in {trials} trials (seed {seed})",
+    )
 
 
 def planted_overlap_scheme(rng: random.Random, l: int, n: int, k: int) -> KeyScheme:

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,31 @@ from fptrace.tascheme import (
     sw_upper_bound,
     trace,
 )
-from tests.helpers import planted_overlap_scheme, traceable_exact_reference
+from tests import helpers
+from tests.helpers import (
+    planted_overlap_scheme,
+    sample_traceability_reference,
+    traceable_exact_reference,
+)
 
 
 def triangle() -> KeyScheme:
     return KeyScheme(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})))
+
+
+def keyed(l: int, *decoders) -> KeyScheme:
+    return KeyScheme(l, tuple(frozenset(d) for d in decoders))
+
+
+def gf_lines(p: int, n: int, seed: int) -> KeyScheme:
+    """n random lines y = b + m*x over GF(p), key (x, y) numbered p*x + y.
+    Two lines share at most one key."""
+    lines = [(b, m) for b in range(p) for m in range(p)]
+    chosen = random.Random(seed).sample(lines, n)
+    return KeyScheme(
+        p * p,
+        tuple(frozenset(x * p + (b + m * x) % p for x in range(p)) for b, m in chosen),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +154,9 @@ def test_exact_disjoint_256_8_32_c4_certified_true():
 
 
 def test_exact_gf13_lines_c3_certified_true():
-    """Lines y = b + m*x over GF(13), key (x, y) numbered 13*x + y: two
-    lines share at most one key, so with 3*3 < 13 the scheme is
-    3-traceable."""
-    p = 13
-    lines = [(b, m) for b in range(p) for m in range(p)]
-    chosen = random.Random(13).sample(lines, 10)
-    scheme = KeyScheme(
-        p * p,
-        tuple(frozenset(x * p + (b + m * x) % p for x in range(p)) for b, m in chosen),
-    )
-    assert is_traceable_exact(scheme, 3).verdict.is_true
+    """Two lines over GF(13) share at most one key, so with 3*3 < 13 the
+    scheme is 3-traceable."""
+    assert is_traceable_exact(gf_lines(13, 10, 13), 3).verdict.is_true
 
 
 @st.composite
@@ -226,8 +239,11 @@ def test_sampling_triangle_finds_witness():
 
 
 def test_sampling_recheck_rejects_wrong_outsider(monkeypatch):
-    """The recheck is a real check, so it also holds under ``python -O``."""
-    scheme = make_disjoint_scheme(12, 4, 3)
+    """The recheck is a real check, so it also holds under ``python -O``.
+    Decoders 1-3 frame each other, and a coalition holding decoder 0, whose
+    keys no other decoder shares, has no rival; so each trial that reaches
+    the witness step has decoder 0 as its smallest outsider, with overlap 0."""
+    scheme = keyed(9, (0, 1, 2), (3, 4, 6), (4, 5, 7), (3, 5, 8))
     wrong = (
         lambda sch, coalition, pirate: coalition[0],  # a member
         lambda sch, coalition, pirate: min(set(range(sch.n)) - set(coalition)),  # overlap 0
@@ -236,10 +252,6 @@ def test_sampling_recheck_rejects_wrong_outsider(monkeypatch):
         monkeypatch.setattr(tascheme, "_trace_violation", fake)
         with pytest.raises(RuntimeError, match="failed its recheck"):
             sample_traceability(scheme, 2, 10, 1)
-
-
-def keyed(l: int, *decoders) -> KeyScheme:
-    return KeyScheme(l, tuple(frozenset(d) for d in decoders))
 
 
 # Captured from the sampler that draws and traces every trial.  Both schemes
@@ -271,6 +283,100 @@ def test_sampling_draw_stream_pinned(scheme, c, trials, seed, witness, detail):
     assert sample_traceability(scheme, c, trials, seed) == TAVerdict(
         Certainty.false(), witness, detail
     )
+
+
+@st.composite
+def sampled_schemes(draw):
+    """(scheme, c, trials, seed): a random, planted-overlap, disjoint or
+    GF(p)-line scheme, c in [1, n + 1], and fewer trials than coalitions of
+    sizes 2..c (no cut is kept) or at least as many (the coverage stop may
+    fire)."""
+    kind = draw(st.sampled_from(("random", "planted", "disjoint", "lines")))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "random":
+        scheme, _ = draw(small_schemes())
+    elif kind == "planted":
+        l, k = draw(st.integers(6, 12)), draw(st.integers(2, 4))
+        scheme = planted_overlap_scheme(random.Random(seed), l, draw(st.integers(3, 7)), k)
+    elif kind == "disjoint":
+        n, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+        scheme = make_disjoint_scheme(n * k + draw(st.integers(0, 4)), n, k)
+    else:
+        p = draw(st.sampled_from((3, 5, 7)))
+        scheme = gf_lines(p, draw(st.integers(2, 8)), seed)
+    c = draw(st.integers(1, scheme.n + 1))
+    coalitions = sum(comb(scheme.n, j) for j in range(2, min(c, scheme.n) + 1))
+    if coalitions and draw(st.booleans()):
+        trials = draw(st.integers(0, coalitions - 1))
+    else:
+        trials = draw(st.integers(coalitions, 20 * coalitions + 20))
+    return scheme, c, trials, seed
+
+
+@given(sampled_schemes())
+@settings(max_examples=300, deadline=None)
+def test_sampling_matches_reference(case):
+    """The cut, the kept cuts and the coverage stop give the whole verdict
+    of tracing every drawn pirate: label, witness and detail."""
+    scheme, c, trials, seed = case
+    assert sample_traceability(scheme, c, trials, seed) == sample_traceability_reference(
+        scheme, c, trials, seed
+    )
+
+
+def counted_draws(monkeypatch, module, run):
+    """The verdict of ``run()`` and the number of ``randint`` and ``sample``
+    calls it made, with ``module.random.Random`` replaced by a counting
+    subclass that makes the same draws."""
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = 0
+            made.append(self)
+
+        def randint(self, a, b):
+            self.draws += 1
+            return super().randint(a, b)
+
+        def sample(self, population, k):
+            self.draws += 1
+            return super().sample(population, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "random", SimpleNamespace(Random=CountingRandom))
+        verdict = run()
+    return verdict, sum(rng.draws for rng in made)
+
+
+def test_sampling_draw_counts(monkeypatch):
+    """The coverage stop ends a rival-free scheme's draws once every
+    coalition has been drawn; a scheme with a rival makes every draw that
+    tracing each trial makes."""
+    disjoint = make_disjoint_scheme(256, 8, 32)
+    verdict, draws = counted_draws(
+        monkeypatch, tascheme, lambda: sample_traceability(disjoint, 4, 10**6, 42)
+    )
+    assert verdict.detail == "0 violations in 1000000 trials (seed 42)"
+    assert draws < 10**4
+    # the sunflower's coalition (0, 1) has the rival 2, which never ties
+    sunflower = keyed(4, (0, 1), (0, 2), (0, 3))
+    verdict, draws = counted_draws(
+        monkeypatch, tascheme, lambda: sample_traceability(sunflower, 2, 100, 5)
+    )
+    assert verdict.verdict.is_unresolved and draws == 3 * 100
+    for scheme, c, trials, seed in (
+        (triangle(), 2, 50, 3),
+        (SPREAD_TRIANGLE_7, 2, 100, 0),
+        (SPREAD_TRIANGLE_12, 3, 200, 2),
+    ):
+        assert counted_draws(
+            monkeypatch, tascheme, lambda: sample_traceability(scheme, c, trials, seed)
+        ) == counted_draws(
+            monkeypatch, helpers,
+            lambda: sample_traceability_reference(scheme, c, trials, seed),
+        )
 
 
 def test_sampling_zero_trials_unresolved():
