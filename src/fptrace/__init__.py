@@ -39,7 +39,6 @@ from .tascheme import (
     make_disjoint_scheme,
     parse_scheme,
     sample_traceability,
-    sw_upper_bound,
     trace,
 )
 from .bounds import (
@@ -51,6 +50,7 @@ from .bounds import (
     is_prime_power,
     sigma_constraint,
     ssw_upper,
+    sw_upper_bound,
     thm6_lower,
     thm7_lower,
 )

@@ -28,13 +28,13 @@ from .rigor import (
     DomainError,
     Enclosure,
     DEFAULT_PRECISION_BITS,
+    binom,
     certainty_all,
     certify_less,
     entropy_enclosure,
     log2_enclosure,
     sqrt_enclosure,
 )
-from .tascheme import SWBoundReport, sw_upper_bound
 
 PRIME_POWER_LIMIT = 1 << 32
 
@@ -178,6 +178,28 @@ def ssw_upper(l: int, c: int, s: int = 2) -> int:
     if l < 1:
         raise DomainError("l must be >= 1")
     return c * (s ** (-(-l // c)) - 1)
+
+
+@dataclass(frozen=True)
+class SWBoundReport:
+    """n <= C(l, t) / C(k-1, t-1) with t = ceil(k/c), evaluated exactly."""
+
+    t: int
+    numerator: int
+    denominator: int
+    value: Fraction
+
+
+def sw_upper_bound(l: int, k: int, c: int) -> SWBoundReport:
+    """Exact decoder-count upper bound for c-traceability schemes."""
+    if c < 1:
+        raise DomainError("c must be >= 1")
+    if k < 1 or k > l:
+        raise DomainError("need 1 <= k <= l")
+    t = -(-k // c)
+    numerator = binom(l, t)
+    denominator = binom(k - 1, t - 1)
+    return SWBoundReport(t, numerator, denominator, Fraction(numerator, denominator))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Commands: verify-fp, verify-ta, bounds, scan, entropy, fixtures.  Every
 command emits either a human-readable text report or a versioned,
-byte-deterministic JSON document (``--format json``).  Exit status is 0 when
-the analysis completed (whatever the verdict), 1 on parse/domain/budget
-errors, 2 on usage errors.
+byte-deterministic JSON document (``--format json``).  Only bounds, scan
+and entropy compute enclosures, so only they take ``--precision-bits``.
+Exit status is 0 when the analysis completed (whatever the verdict), 1 on
+parse/domain/budget errors, 2 on usage errors (argparse's, such as a flag
+the command does not take).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import fpcode
 from . import paramscan
 from . import tascheme
 from .rigor import (
+    DEFAULT_PRECISION_BITS,
     MAX_PRECISION_BITS,
     BudgetExceededError,
     Certainty,
@@ -35,7 +38,6 @@ from .rigor import (
 
 SCHEMA_VERSION = 1
 
-DEFAULT_PRECISION = 64
 DEFAULT_TRIALS = 10**5
 DEFAULT_SEED = 1
 MAX_TRIALS = 10**6
@@ -203,9 +205,7 @@ def cmd_verify_ta(args) -> int:
         "k": scheme.k,
         "c": args.c,
         "method": method,
-        "verdict": verdict.verdict,
-        "detail": verdict.detail,
-        "witness": verdict.witness,
+        **_jsonable(verdict),
     }
     lines = [
         f"command: verify-ta {name}",
@@ -354,21 +354,7 @@ def cmd_scan(args) -> int:
     )
     report = {
         "command": "scan",
-        "mode": rep.mode,
-        "w_max": rep.w_max,
-        "c_max": rep.c_max,
-        "precision_bits": rep.precision_bits,
-        "windows_checked": rep.windows_checked,
-        "excluded_count": rep.excluded_count,
-        "entropy_bound_on_grid": rep.entropy_bound_on_grid,
-        "log2e_below_2": rep.log2e_below_2,
-        "candidates": rep.candidates,
-        "cases": rep.cases,
-        "either_or_exhibits": rep.either_or_exhibits,
-        "positive_f_empty_windows": [list(p) for p in rep.positive_f_empty_windows],
-        "unresolved": [list(p) for p in rep.unresolved],
-        "tail_notes": rep.tail_notes,
-        "verdict": rep.verdict,
+        **_jsonable(rep),
         "certified_infeasible": rep.certified_infeasible,
     }
     _emit(report, _scan_lines(rep), args.format)
@@ -430,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, precision=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION)
+        if precision:
+            p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
 
     p = sub.add_parser("verify-fp", help="frame-proof verification of a code")
     p.add_argument("code", help="built-in fixture name or code file path")
@@ -446,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-ta", help="traceability verification of a scheme")
     p.add_argument("scheme", help="built-in fixture name or scheme file path")
     p.add_argument("--c", type=int, required=True, help="coalition size bound")
-    p.add_argument("--method", "--mode", dest="method",
-                   choices=("exact", "structural", "sample"), default="exact")
+    p.add_argument("--method", choices=("exact", "structural", "sample"), default="exact")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_common(p)
@@ -462,19 +448,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="keys per decoder (thm7)")
     p.add_argument("--s", type=int, default=2, help="alphabet size (thm6)")
-    add_common(p)
+    add_common(p, precision=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("scan", help="grid infeasibility scan")
     p.add_argument("--mode", choices=("thm10", "thm11"), default="thm10")
     p.add_argument("--wmax", type=int, default=64)
     p.add_argument("--cmax", type=int, default=64)
-    add_common(p)
+    add_common(p, precision=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("entropy", help="binary entropy enclosure")
     p.add_argument("x", help="rational in [0, 1], e.g. 1/16")
-    add_common(p)
+    add_common(p, precision=True)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("fixtures", help="list or emit built-in fixtures")

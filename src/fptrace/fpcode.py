@@ -170,7 +170,8 @@ def is_frameproof(
     size, and the first violation found is returned as the witness, with
     the smallest framed outsider.  A step is one (coalition, outsider) pair
     test; when the sum of C(n, j) * (n - j) over sizes 2 <= j <= min(c, n)
-    exceeds ``budget``, ``BudgetExceededError`` is raised before any test.
+    exceeds ``budget``, ``BudgetExceededError`` is raised before any test,
+    naming the sum through the first size that passes it.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -178,7 +179,7 @@ def is_frameproof(
     top = min(c, n)
     # A single member's feasible set is its own word, and codewords are
     # distinct, so coalitions of one frame nobody and cost nothing.
-    check_step_budget(sum(comb(n, j) * (n - j) for j in range(2, top + 1)), budget)
+    check_step_budget((comb(n, j) * (n - j) for j in range(2, top + 1)), budget)
     keys, mask_of = _mask_test(code, definition)
     for size in range(2, top + 1):
         for coalition in itertools.combinations(range(n), size):

@@ -36,21 +36,20 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .rigor import (
     Certainty,
     DomainError,
     Enclosure,
     DEFAULT_PRECISION_BITS,
+    Rational,
     certainty_all,
     certify_less,
     entropy_enclosure,
     log2_e_enclosure,
     log2_enclosure,
 )
-
-Rational = Union[int, Fraction]
 
 MIN_SCAN_W = 5
 MIN_SCAN_C = 19
@@ -82,24 +81,6 @@ class EitherOr(Enum):
     RIGHT_ONLY = "RightOnly"
     BOTH = "Both"
     NEITHER = "Neither"
-
-
-@dataclass(frozen=True)
-class ScanParams:
-    """One grid point: weight analog w and effective coalition parameter a."""
-
-    w: int
-    a: int
-
-    def __post_init__(self):
-        if self.w < 1:
-            raise DomainError("w must be >= 1")
-        if self.a < 2:
-            raise DomainError("a must be >= 2")
-
-    @property
-    def length(self) -> int:
-        return self.w * self.a
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +133,10 @@ def delta_window_for_length(
 ) -> DeltaWindow:
     """Window with an explicit length argument (the default is w*a; the
     alternative traceability reading uses w*a/2)."""
-    params = ScanParams(w, a)
+    if w < 1:
+        raise DomainError("w must be >= 1")
+    if a < 2:
+        raise DomainError("a must be >= 2")
     length = Fraction(length)
     lower = window_lower(w, a)
     # smallest integer strictly above the exact lower end, at least 1
@@ -165,8 +149,8 @@ def delta_window_for_length(
         lambda bits: Enclosure.point(d_min), make_upper, precision_bits, or_equal=True
     )
     return DeltaWindow(
-        w=params.w,
-        a=params.a,
+        w=w,
+        a=a,
         length=length,
         lower=lower,
         upper=make_upper(precision_bits),
@@ -201,7 +185,10 @@ def classify_pair(w: int, a: int) -> CaseTag:
     Overlaps resolve in the order w = 1, w = 2, a = 2, so (2, 2) lands in
     the weight-two family.
     """
-    ScanParams(w, a)
+    if w < 1:
+        raise DomainError("w must be >= 1")
+    if a < 2:
+        raise DomainError("a must be >= 2")
     if w == 1:
         return CaseTag.A_W1
     if w == 2:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -43,13 +43,19 @@ class BudgetExceededError(RuntimeError):
     """The requested exact verification exceeds its step budget."""
 
 
-def check_step_budget(steps: int, budget: int) -> None:
+def check_step_budget(counts: Iterable[int], budget: int) -> int:
     """Refuse up front an exact verification that needs more steps than
-    ``budget``."""
-    if steps > budget:
-        raise BudgetExceededError(
-            f"exact verification needs ~{steps} steps, budget is {budget}"
-        )
+    ``budget``, and return its step total.  ``counts`` gives the steps of
+    each coalition size in turn; the sum stops at the first size that takes
+    it past ``budget``, so the refusal counts the steps through that size."""
+    steps = 0
+    for count in counts:
+        steps += count
+        if steps > budget:
+            raise BudgetExceededError(
+                f"exact verification needs ~{steps} steps, budget is {budget}"
+            )
+    return steps
 
 
 def _as_fraction(x) -> Fraction:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Tuple
@@ -41,7 +40,6 @@ from .rigor import (
     BudgetExceededError,
     Certainty,
     DomainError,
-    binom,
     check_step_budget,
 )
 
@@ -197,8 +195,7 @@ def is_traceable_exact(
         raise DomainError("coalition bound c must be >= 1")
     n, k = scheme.n, scheme.k
     top = min(c, n)
-    pair_tests = sum(comb(n, j) * (n - j) for j in range(1, top + 1))
-    check_step_budget(pair_tests, budget)
+    pair_tests = check_step_budget((comb(n, j) * (n - j) for j in range(1, top + 1)), budget)
     masks = scheme._masks
     search = _PairSearch(masks, k, budget, pair_tests)
     for size in range(1, top + 1):
@@ -431,33 +428,6 @@ def make_disjoint_scheme(l: int, n: int, k: int) -> KeyScheme:
         raise DomainError(f"disjoint scheme needs n*k <= l, got {n * k} > {l}")
     decoders = tuple(frozenset(range(i * k, (i + 1) * k)) for i in range(n))
     return KeyScheme(l, decoders)
-
-
-# ---------------------------------------------------------------------------
-# Decoder-count upper bound for c-traceability
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SWBoundReport:
-    """n <= C(l, t) / C(k-1, t-1) with t = ceil(k/c), evaluated exactly."""
-
-    t: int
-    numerator: int
-    denominator: int
-    value: Fraction
-
-
-def sw_upper_bound(l: int, k: int, c: int) -> SWBoundReport:
-    """Exact evaluation of the decoder-count upper bound."""
-    if c < 1:
-        raise DomainError("c must be >= 1")
-    if k < 1 or k > l:
-        raise DomainError("need 1 <= k <= l")
-    t = -(-k // c)
-    numerator = binom(l, t)
-    denominator = binom(k - 1, t - 1)
-    return SWBoundReport(t, numerator, denominator, Fraction(numerator, denominator))
 
 
 # ---------------------------------------------------------------------------

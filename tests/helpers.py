@@ -248,16 +248,19 @@ def frameproof_reference(
     """Slow reference for ``is_frameproof``: the same checks, budget and
     enumeration order, but every (coalition, outsider) check is a
     symbol-by-symbol membership test on the coalition's feasible pattern.
-    The budget counts the pair tests of coalitions of two or more."""
+    The budget counts the pair tests of coalitions of two or more, size by
+    size, up to the first size that passes it."""
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
     n = code.n
     top = min(c, n)
-    cost = sum(comb(n, j) * (n - j) for j in range(2, top + 1))
-    if cost > budget:
-        raise BudgetExceededError(
-            f"exact verification needs ~{cost} steps, budget is {budget}"
-        )
+    cost = 0
+    for j in range(2, top + 1):
+        cost += comb(n, j) * (n - j)
+        if cost > budget:
+            raise BudgetExceededError(
+                f"exact verification needs ~{cost} steps, budget is {budget}"
+            )
     for size in range(1, top + 1):
         for coalition in itertools.combinations(range(n), size):
             pattern = feasible_pattern(code, coalition, definition)

@@ -12,6 +12,7 @@ from fptrace.bounds import (
     is_prime_power,
     sigma_constraint,
     ssw_upper,
+    sw_upper_bound,
     thm6_lower,
     thm7_lower,
 )
@@ -149,6 +150,19 @@ def test_ssw_upper_values():
     assert ssw_upper(5, 2, 3) == 52
     with pytest.raises(DomainError):
         ssw_upper(4, 2, 1)
+
+
+def test_sw_upper_bound_values():
+    rep = sw_upper_bound(256, 32, 4)
+    assert rep.t == 8
+    assert rep.numerator == 409663695276000
+    assert rep.denominator == 2629575
+    assert rep.value == F(409663695276000, 2629575)
+    assert rep.value < 2**28
+    assert sw_upper_bound(6, 2, 2).value == 6
+    assert sw_upper_bound(10, 4, 4).value == 10  # c = k gives t = 1, value l
+    with pytest.raises(DomainError):
+        sw_upper_bound(6, 0, 2)
 
 
 def test_rejected_variant_is_reference_only():

@@ -72,13 +72,34 @@ def test_verify_fp_unknown_input(capsys):
     # 2000 one-key decoders at c = 2: 2000 * 1999 + C(2000, 2) * 1998 pair tests
     (["verify-ta", "--c", "2", "--method", "exact"],
      format_scheme(make_disjoint_scheme(2000, 2000, 1)), 3998000000),
-], ids=["verify-fp", "verify-ta"])
+    # at c = n = 15000 the count stops at the first size that passes the
+    # budget: C(15000, 2) * 14998 pair tests for codes, plus 15000 * 14999
+    # for one-key decoders
+    (["verify-fp", "--c", "15000"], "".join(f"{i:014b}\n" for i in range(15000)),
+     1687162515000),
+    (["verify-ta", "--c", "15000", "--method", "exact"],
+     format_scheme(make_disjoint_scheme(15000, 15000, 1)), 1687387500000),
+], ids=["verify-fp", "verify-ta", "verify-fp-15000", "verify-ta-15000"])
 def test_exact_verification_over_budget_is_an_error(tmp_path, capsys, argv, text, steps):
     path = tmp_path / "input.txt"
     path.write_text(text)
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 1 and out == ""
     assert err == f"error: exact verification needs ~{steps} steps, budget is 1000000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-fp", "gamma64", "--c", "2", "--precision-bits", "64"],
+    ["verify-ta", "triangle", "--c", "2", "--precision-bits", "64"],
+    ["fixtures", "list", "--precision-bits", "64"],
+    ["verify-ta", "triangle", "--c", "2", "--mode", "exact"],
+], ids=["verify-fp-precision", "verify-ta-precision", "fixtures-precision", "verify-ta-mode"])
+def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and captured.out == ""
+    assert "error: unrecognized arguments: " in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
@@ -217,6 +238,17 @@ def test_precision_bits_out_of_range_is_an_error(capsys, bits):
     code, out, err = run(capsys, "entropy", "1/3", "--precision-bits", bits)
     assert code == 1 and out == ""
     assert err == f"error: --precision-bits must be in [1, 4096], got {bits}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "thm6", "--q", "64", "--delta", "3", "--c", "2", "--sigma", "7/64", "--l", "64"],
+    ["scan"],
+    ["entropy", "1/3"],
+], ids=["bounds", "scan", "entropy"])
+def test_precision_bits_is_bounded_where_it_is_read(capsys, argv):
+    code, out, err = run(capsys, *argv, "--precision-bits", "4097")
+    assert code == 1 and out == ""
+    assert err == "error: --precision-bits must be in [1, 4096], got 4097\n"
 
 
 def test_precision_bits_at_the_cap(capsys):

@@ -160,6 +160,17 @@ def test_budget_refusal_matches_reference():
     )
 
 
+def test_budget_refusal_stops_at_the_first_size_over_budget():
+    """At c = n = 15000 the pairs alone, C(15000, 2) * 14998 pair tests,
+    pass the budget, so the refusal names them and sums no larger size."""
+    code = Code.from_strings([f"{i:014b}" for i in range(15000)])
+    message = "exact verification needs ~1687162515000 steps, budget is 1000000000"
+    for verify in (is_frameproof, frameproof_reference):
+        with pytest.raises(BudgetExceededError) as refused:
+            verify(code, 15000)
+        assert str(refused.value) == message
+
+
 def test_long_identity_code_fits_the_default_budget():
     """C(100, 2) * 98 = 485,100 pair tests, however long the words are."""
     code = construct_identity_concat(100, ones=1450, zeros=1450)

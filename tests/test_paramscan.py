@@ -117,6 +117,18 @@ def test_classify_priorities():
     assert classify_pair(3, 4) is CaseTag.D_FINITE_PAIR
 
 
+@pytest.mark.parametrize("w, a, message", [
+    (0, 3, "w must be >= 1"),
+    (3, 1, "a must be >= 2"),
+])
+def test_grid_point_out_of_domain(w, a, message):
+    with pytest.raises(DomainError) as bad_window:
+        delta_window_for_length(w, a, 6)
+    with pytest.raises(DomainError) as bad_pair:
+        classify_pair(w, a)
+    assert str(bad_window.value) == str(bad_pair.value) == message
+
+
 def test_candidate_filter_full_grid():
     tags = candidate_filter(64, 64)
     finite = tuple(sorted(p for p, t in tags.items() if t is CaseTag.D_FINITE_PAIR))

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction as F
 from math import comb
 from types import SimpleNamespace
 
@@ -23,7 +22,6 @@ from fptrace.tascheme import (
     make_disjoint_scheme,
     parse_scheme,
     sample_traceability,
-    sw_upper_bound,
     trace,
 )
 from tests import helpers
@@ -132,11 +130,15 @@ def test_exact_c1_true_for_distinct_decoders():
 
 def test_exact_over_budget_raises_budget_exceeded():
     """Refused up front when the pair tests alone pass the budget, and
-    stopped mid-search when the count vectors do."""
+    stopped mid-search when the count vectors do.  The up-front count stops
+    at the first coalition size that passes the budget: at c = 15000 it is
+    15000 * 14999 + C(15000, 2) * 14998, not a sum over 15000 sizes."""
     triangle_pairs = 3 * 2 + 3 * 1
     for scheme, c, budget, message in (
         (make_disjoint_scheme(2000, 2000, 1), 2, DEFAULT_STEP_BUDGET,
          "exact verification needs ~3998000000 steps, budget is 1000000000"),
+        (make_disjoint_scheme(15000, 15000, 1), 15000, DEFAULT_STEP_BUDGET,
+         "exact verification needs ~1687387500000 steps, budget is 1000000000"),
         (triangle(), 2, triangle_pairs - 1,
          "exact verification needs ~9 steps, budget is 8"),
         (triangle(), 2, triangle_pairs,
@@ -436,19 +438,6 @@ def test_make_disjoint_scheme():
     assert make_disjoint_scheme(6, 3, 2).decoder_lists() == ((0, 1), (2, 3), (4, 5))
     with pytest.raises(DomainError):
         make_disjoint_scheme(5, 3, 2)
-
-
-def test_sw_upper_bound_values():
-    rep = sw_upper_bound(256, 32, 4)
-    assert rep.t == 8
-    assert rep.numerator == 409663695276000
-    assert rep.denominator == 2629575
-    assert rep.value == F(409663695276000, 2629575)
-    assert rep.value < 2**28
-    assert sw_upper_bound(6, 2, 2).value == 6
-    assert sw_upper_bound(10, 4, 4).value == 10  # c = k gives t = 1, value l
-    with pytest.raises(DomainError):
-        sw_upper_bound(6, 0, 2)
 
 
 # ---------------------------------------------------------------------------
