@@ -54,7 +54,6 @@ BOUNDED_FLAGS = (
     ("precision_bits", "--precision-bits", 1, MAX_PRECISION_BITS, ""),
     ("wmax", "--wmax", paramscan.MIN_SCAN_W, MAX_SCAN_EXTENT, _PROBE_NOTE),
     ("cmax", "--cmax", paramscan.MIN_SCAN_C, MAX_SCAN_EXTENT, _PROBE_NOTE),
-    ("trials", "--trials", 0, MAX_TRIALS, ""),
     ("l", "--l", 1, MAX_BOUND_LENGTH, ""),
     ("s", "--s", 2, fpcode.MAX_ALPHABET, ""),
 )
@@ -62,6 +61,11 @@ BOUNDED_FLAGS = (
 
 class CliError(Exception):
     """User-facing failure: bad input file or bad parameters."""
+
+
+def _check_range(flag: str, value: int, low: int, high: int, note: str = "") -> None:
+    if not low <= value <= high:
+        raise CliError(f"{flag} must be in [{low}, {high}], got {value}{note}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +88,6 @@ def _jsonable(obj):
         return {
             f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
@@ -196,6 +198,7 @@ def cmd_verify_ta(args) -> int:
     elif method == "structural":
         verdict = tascheme.is_traceable_structural_disjoint(scheme, args.c)
     else:
+        _check_range("--trials", args.trials, 0, MAX_TRIALS)
         verdict = tascheme.sample_traceability(scheme, args.c, args.trials, args.seed)
     report = {
         "command": "verify-ta",
@@ -477,9 +480,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         for attr, flag, low, high, note in BOUNDED_FLAGS:
-            value = getattr(args, attr, low)
-            if not low <= value <= high:
-                raise CliError(f"{flag} must be in [{low}, {high}], got {value}{note}")
+            _check_range(flag, getattr(args, attr, low), low, high, note)
         return args.func(args)
     except (CliError, DomainError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,8 +101,9 @@ def window_lower(w: int, a: int) -> Fraction:
 
 
 @lru_cache(maxsize=1 << 14)
-def _window_upper(w: int, a: int, length: Fraction, precision_bits: int) -> Enclosure:
-    """Enclosure of the right end: (H(1/a) - 1/a)/2 * length / log2(length)."""
+def _window_upper(a: int, length: Fraction, precision_bits: int) -> Enclosure:
+    """Enclosure of the right end: (H(1/a) - 1/a)/2 * length / log2(length);
+    it does not depend on w, so windows with equal a and length share it."""
     if length < 2:
         raise DomainError("window needs length >= 2 so log2(length) >= 1")
     guard = (length.numerator // length.denominator + 1).bit_length() + 6
@@ -111,7 +112,7 @@ def _window_upper(w: int, a: int, length: Fraction, precision_bits: int) -> Encl
 
 
 def window_upper(w: int, a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
-    return _window_upper(w, a, Fraction(w * a), precision_bits)
+    return _window_upper(a, Fraction(w * a), precision_bits)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def delta_window_for_length(
     d_min = max(math.floor(lower) + 1, 1)
 
     def make_upper(bits: int) -> Enclosure:
-        return _window_upper(w, a, length, bits)
+        return _window_upper(a, length, bits)
 
     exists = certify_less(
         lambda bits: Enclosure.point(d_min), make_upper, precision_bits, or_equal=True
@@ -587,13 +588,14 @@ def scan_infeasibility(
 ) -> ScanReport:
     """Certify that no scanned parameter combination admits the integer.
 
-    For THM10 the grid is a = c in [2, c_max]; for THM11 it is a = c*c for
-    c in [2, floor(sqrt(c_max))], with both length readings (l = w*a from
-    the direct substitution, l = w*a/2 from the key-count relation
-    c^2 = 2l/k) checked side by side on every grid pair.
+    Both modes supply data to one window loop: rows (w, a, c, tag), length
+    readings (name, scale of w*a), an excluded count, a case report and tail
+    notes.  THM10's rows are the closed-form candidates with a = c, under
+    l = w*a; THM11's are every pair with a = c*c, c in [2, floor(sqrt(c_max))],
+    under l = w*a and l = w*a/2 (from the key-count relation c^2 = 2l/k).
     """
-    if isinstance(mode, str):
-        mode = ScanMode(mode)
+    if not isinstance(mode, ScanMode):
+        raise TypeError(f"mode must be a ScanMode, got {mode!r}")
     if w_max < MIN_SCAN_W or c_max < MIN_SCAN_C:
         raise DomainError(
             f"scan requires w_max >= {MIN_SCAN_W} and c_max >= {MIN_SCAN_C} "
@@ -609,21 +611,10 @@ def scan_infeasibility(
         precision_bits,
     )
 
-    candidates = []
-    unresolved = []
-    feasible_found = []
-
     if mode is ScanMode.THM10:
         tags = candidate_filter(w_max, c_max)
-        for (w, a) in sorted(tags, key=lambda p: (p[1], p[0])):
-            win = delta_window(w, a, precision_bits)
-            rec = CandidateWindow(w=w, a=a, c=a, reading="direct", tag=tags[(w, a)], window=win)
-            candidates.append(rec)
-            if win.integer_exists.is_true:
-                feasible_found.append((w, a))
-            elif win.integer_exists.is_unresolved:
-                unresolved.append((w, a))
-        windows_checked = len(candidates)
+        rows = [(w, a, a, tags[w, a]) for w, a in sorted(tags, key=lambda p: (p[1], p[0]))]
+        readings = (("direct", 1),)
         excluded_count = w_max * (c_max - 1) - len(tags)
         cases = verify_cases(c_max, precision_bits)
         tail_notes = (
@@ -634,27 +625,13 @@ def scan_infeasibility(
             "family tails beyond the grid rely on the certified monotone "
             "analytic bounds recorded in the case reports",
         )
-        cases_ok = cases.all_certified
     else:
-        c_top = math.isqrt(c_max)
-        pair_list = []
-        for c in range(2, c_top + 1):
-            a = c * c
-            for w in range(1, w_max + 1):
-                pair_list.append((w, a, c))
-        for (w, a, c) in pair_list:
-            tag = classify_pair(w, a)
-            direct = delta_window_for_length(w, a, Fraction(w) * a, precision_bits)
-            half = delta_window_for_length(w, a, Fraction(w * a, 2), precision_bits)
-            for reading, win in (("direct", direct), ("half_length", half)):
-                rec = CandidateWindow(w=w, a=a, c=c, reading=reading, tag=tag, window=win)
-                if tag is not CaseTag.EXCLUDED:
-                    candidates.append(rec)
-                if win.integer_exists.is_true:
-                    feasible_found.append((w, a))
-                elif win.integer_exists.is_unresolved:
-                    unresolved.append((w, a))
-        windows_checked = 2 * len(pair_list)
+        rows = [
+            (w, c * c, c, classify_pair(w, c * c))
+            for c in range(2, math.isqrt(c_max) + 1)
+            for w in range(1, w_max + 1)
+        ]
+        readings = (("direct", 1), ("half_length", Fraction(1, 2)))
         excluded_count = 0  # every grid pair is window-checked directly
         cases = None
         tail_notes = (
@@ -662,7 +639,18 @@ def scan_infeasibility(
             "readings; no analytic exclusion is needed on this grid",
             "coverage is the scanned grid c in [2, floor(sqrt(c_max))]",
         )
-        cases_ok = True
+
+    candidates, unresolved, feasible_found = [], [], []
+    for w, a, c, tag in rows:
+        for reading, scale in readings:
+            win = delta_window_for_length(w, a, scale * w * a, precision_bits)
+            if tag is not CaseTag.EXCLUDED:
+                candidates.append(CandidateWindow(w, a, c, reading, tag, win))
+            if win.integer_exists.is_true:
+                feasible_found.append((w, a))
+            elif win.integer_exists.is_unresolved:
+                unresolved.append((w, a))
+    cases_ok = cases is None or cases.all_certified
 
     if feasible_found:
         verdict = Certainty.false()
@@ -677,7 +665,7 @@ def scan_infeasibility(
         c_max=c_max,
         precision_bits=precision_bits,
         candidates=tuple(candidates),
-        windows_checked=windows_checked,
+        windows_checked=len(rows) * len(readings),
         excluded_count=excluded_count,
         entropy_bound_on_grid=entropy_grid,
         log2e_below_2=log2e_lt_2,

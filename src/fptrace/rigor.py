@@ -188,10 +188,6 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, value: Rational) -> bool:
-        v = _as_fraction(value)
-        return self.lo <= v <= self.hi
-
     def intersects(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

@@ -279,6 +279,14 @@ def test_trials_out_of_range_is_an_error(capsys, trials):
     assert err == f"error: --trials must be in [0, 1000000], got {trials}\n"
 
 
+def test_trials_is_bounded_only_where_the_sampler_reads_it(capsys):
+    code, out, err = run(capsys, "verify-ta", "triangle", "--c", "2",
+                         "--method", "exact", "--trials", "2000000")
+    assert code == 0 and err == ""
+    assert ("witness: coalition [0, 1] builds pirate [0, 2], "
+            "outsider decoder 2 ties the trace\n") in out
+
+
 @pytest.mark.parametrize("flag, value, low, high", [
     ("--l", "0", 1, 262144),
     ("--l", "262145", 1, 262144),

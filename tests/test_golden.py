@@ -51,6 +51,10 @@ GOLDEN = {
                              "--sigma", "8191/16384", "--l", "16384"],
     "scan_thm10_1024b": ["scan", "--precision-bits", "1024"],
     "scan_thm10_2b": ["scan", "--wmax", "5", "--cmax", "19", "--precision-bits", "2"],
+    # non-square c_max, a 2-bit start, and half-length windows whose upper is
+    # a direct window's upper (even w: (w/2)*a = w*a/2)
+    "scan_thm11_small": ["scan", "--mode", "thm11", "--wmax", "5", "--cmax", "19",
+                         "--precision-bits", "2"],
 }
 
 FORMATS = ("text", "json")

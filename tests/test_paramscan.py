@@ -312,9 +312,12 @@ def test_scan_rejects_small_extents():
         scan_infeasibility(64, 18, ScanMode.THM11)
 
 
-def test_scan_mode_accepts_strings():
-    rep = scan_infeasibility(5, 19, "thm10")
+def test_scan_mode_must_be_a_scan_mode():
+    rep = scan_infeasibility(5, 19, ScanMode.THM10)
     assert rep.mode is ScanMode.THM10
+    # a string would otherwise fall through to the THM11 rows
+    with pytest.raises(TypeError):
+        scan_infeasibility(5, 19, "thm10")
 
 
 # ---------------------------------------------------------------------------
