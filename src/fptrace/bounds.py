@@ -11,10 +11,12 @@ strictly below the lower bound's, which is exactly the shape of the
 "upper < lower" refutation: parameters satisfying all stated hypotheses
 whose claimed lower bound exceeds a proven upper bound.
 
-The sigma constraint, log(l)/l < sigma and l > (13 + sqrt(169 + 48*sigma))
-/ (12*sigma), is checked with certified enclosures; reports evaluate the
-bounds even when it fails and flag ``sigma_ok`` accordingly so the
-parameter space can be explored.
+The sigma constraint has two halves.  log2(l)/l < sigma is a certified
+enclosure comparison.  l > (13 + sqrt(169 + 48*sigma))/(12*sigma) is decided
+in exact rationals: with t = 12*sigma*l - 13 it holds exactly when t > 0 and
+t^2 > 169 + 48*sigma, so a tie is CertifiedFalse rather than Unresolved.
+Reports evaluate the bounds even when the constraint fails and flag
+``sigma_ok`` accordingly so the parameter space can be explored.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .rigor import (
     certify_less,
     entropy_enclosure,
     log2_enclosure,
-    sqrt_enclosure,
 )
 
 PRIME_POWER_LIMIT = 1 << 32
@@ -123,7 +124,8 @@ class Thm7Params:
 def sigma_constraint(
     l: int, sigma: Union[int, Fraction, str], precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Certainty:
-    """Certify log2(l)/l < sigma and l > (13 + sqrt(169 + 48*sigma))/(12*sigma)."""
+    """Certify log2(l)/l < sigma and l > (13 + sqrt(169 + 48*sigma))/(12*sigma);
+    the second as t > 0 and t^2 > 169 + 48*sigma with t = 12*sigma*l - 13."""
     sigma = Fraction(sigma)
     if sigma <= 0:
         raise DomainError("sigma must be positive")
@@ -134,13 +136,9 @@ def sigma_constraint(
         lambda bits: Enclosure.point(sigma * l),
         precision_bits,
     )
-    radicand = Fraction(169) + 48 * sigma
-    second = certify_less(
-        lambda bits: (sqrt_enclosure(radicand, bits) + 13) / (12 * sigma),
-        lambda bits: Enclosure.point(l),
-        precision_bits,
-    )
-    return certainty_all(first, second)
+    t = 12 * sigma * l - 13
+    second = t > 0 and t * t > 169 + 48 * sigma
+    return certainty_all(first, Certainty.true() if second else Certainty.false())
 
 
 def thm6_lower(p: Thm6Params, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:

@@ -691,12 +691,10 @@ class CollapseReport:
     cap, then applying the entropy cap H(1/a) <= (log2 a + log2 e)/a and
     a/(a-1) <= 2, leaves log2(w) < (log2 e - 1 - log2 a)/2.  The right side
     is certified negative at a = 2, and monotonicity of log2 makes it
-    strictly decreasing in a, which covers every a >= 2.  ``probe`` is the
-    display grid of a values that the report covers, not a list of checks.
+    strictly decreasing in a, which covers every a >= 2.
     """
 
     precision_bits: int
-    probe: Tuple[int, ...]
     rhs_negative: Certainty
     rhs_at_2: Enclosure
     rhs_at_3: Enclosure
@@ -706,15 +704,6 @@ class CollapseReport:
     @property
     def collapse_certified(self) -> bool:
         return self.rhs_negative.is_true and self.entropy_bound.is_true
-
-
-def _collapse_probe_grid(top: int = 1 << 16) -> Tuple[int, ...]:
-    grid = list(range(2, 257))
-    v = 256
-    while v < top:
-        v = min(v * 9 // 8, top)
-        grid.append(v)
-    return tuple(grid)
 
 
 def weight_log_cap(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
@@ -735,7 +724,6 @@ def theorem10_statement_collapse(
     """
     return CollapseReport(
         precision_bits=precision_bits,
-        probe=_collapse_probe_grid(),
         rhs_negative=certify_less(
             lambda bits: weight_log_cap(2, bits),
             lambda bits: Enclosure.point(0),

@@ -1,11 +1,11 @@
 """Exact and rigorously enclosed arithmetic.
 
 Integers and rationals are exact (``int`` and ``fractions.Fraction``).
-Irrational quantities (base-2 logarithms, binary entropy, square roots) are
-carried as *enclosures*: rational intervals guaranteed to contain the true
-value.  Soundness comes from directed rounding at every internal step, never
-from post-hoc error estimates, so a strict comparison of enclosure endpoints
-is a machine-checked proof of the corresponding strict inequality.
+Irrational quantities (base-2 logarithms, binary entropy, log2 e) are carried
+as *enclosures*: rational intervals guaranteed to contain the true value.
+Soundness comes from directed rounding at every internal step, never from
+post-hoc error estimates, so a strict comparison of enclosure endpoints is a
+machine-checked proof of the corresponding strict inequality.
 
 The transcendental routines work in dyadic fixed point: an integer ``n`` at
 working precision ``W`` stands for ``n / 2**W``.  Lower endpoints round down,
@@ -87,9 +87,10 @@ _LABELS = ("CertifiedTrue", "CertifiedFalse", "Unresolved")
 class Certainty:
     """Verdict of a certified comparison.
 
-    ``CertifiedTrue`` / ``CertifiedFalse`` are only ever produced when
-    interval endpoints strictly separate; equality of the underlying real
-    values therefore stays ``Unresolved`` forever, by design.
+    ``CertifiedTrue`` / ``CertifiedFalse`` come with a proof: strictly
+    separated interval endpoints, an exhaustive search, or an exact rational
+    test.  Equal values compared through enclosures never separate, so they
+    stay ``Unresolved`` forever, by design.
     ``precision_bits`` records the precision at which resolution was
     abandoned (``None`` when the notion does not apply, e.g. sampling).
     """
@@ -466,26 +467,6 @@ def entropy_enclosure(x: Rational, precision_bits: int = DEFAULT_PRECISION_BITS)
     return _entropy_enclosure_cached(x, precision_bits)
 
 
-def sqrt_enclosure(x: Rational, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
-    """Enclosure of sqrt(x) for rational x >= 0; exact for perfect squares."""
-    x = _as_fraction(x)
-    if x < 0:
-        raise DomainError(f"sqrt requires a nonnegative argument, got {x}")
-    _check_precision(precision_bits)
-    if x == 0:
-        return Enclosure.point(0)
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Enclosure.point(Fraction(rn, rd))
-
-    def bounds(w: int) -> Tuple[int, int]:
-        scaled = num << (2 * w)
-        return math.isqrt(scaled // den), math.isqrt(_ceil_div(scaled, den)) + 1
-
-    return _dyadic_enclosure(bounds, precision_bits + 8, precision_bits)
-
-
 def log2_e_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     """Enclosure of log2(e) = 1/ln(2), width <= 2**-precision_bits."""
     _check_precision(precision_bits)
@@ -510,7 +491,6 @@ def certify_less(
     make_a: Callable[[int], Enclosure],
     make_b: Callable[[int], Enclosure],
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
     or_equal: bool = False,
 ) -> Certainty:
     """Certainty of a < b (a <= b with ``or_equal``) for the values that
@@ -518,11 +498,12 @@ def certify_less(
 
     Doubles the precision from ``precision_bits`` and re-derives both
     enclosures (intersecting with the previous round, so refinement can only
-    shrink) until the endpoints separate or ``max_bits`` is exceeded; the
-    unresolved verdict records the last precision tried.  CertifiedFalse
-    needs b's enclosure strictly below a's, so equal values are never
-    certified false; they are certified true only under ``or_equal``, when
-    the enclosures touch at that value (an exact point equal to an integer).
+    shrink) until the endpoints separate or ``MAX_PRECISION_BITS`` is
+    exceeded; the unresolved verdict records the last precision tried.
+    CertifiedFalse needs b's enclosure strictly below a's, so equal values
+    are never certified false; they are certified true only under
+    ``or_equal``, when the enclosures touch at that value (an exact point
+    equal to an integer).
     """
     bits = precision_bits
     a, b = make_a(bits), make_b(bits)
@@ -531,7 +512,7 @@ def certify_less(
             return Certainty.true()
         if b.hi < a.lo:
             return Certainty.false()
-        if bits * 2 > max_bits:
+        if bits * 2 > MAX_PRECISION_BITS:
             return Certainty.unresolved(bits)
         bits *= 2
         a = a.intersect(make_a(bits))

@@ -140,14 +140,18 @@ def trace(scheme: KeyScheme, pirate: Iterable[int]) -> TraceResult:
     return TraceResult(best, argmax)
 
 
-def _trace_violation(scheme: KeyScheme, coalition: Tuple[int, ...], pirate) -> Optional[int]:
-    """Smallest outsider decoder attaining the maximum overlap, if any."""
-    result = trace(scheme, pirate)
+def _tie_witness(scheme: KeyScheme, coalition: Tuple[int, ...], pirate) -> TAWitness:
+    """The pirate's violation, traced once: its smallest outside
+    maximum-overlap decoder.  A fast path hands over only pirates it found
+    tied, so an untied one is a fault, not a verdict."""
     members = set(coalition)
-    for i in result.argmax_decoders:
+    for i in trace(scheme, pirate).argmax_decoders:
         if i not in members:
-            return i
-    return None
+            return TAWitness(coalition, pirate, i)
+    raise RuntimeError(
+        f"pirate {list(pirate)} of coalition {list(coalition)} "
+        "failed its recheck: no outsider ties the trace"
+    )
 
 
 def _key_union(scheme: KeyScheme, coalition: Tuple[int, ...]) -> list:
@@ -205,15 +209,9 @@ def is_traceable_exact(
                 pirate = search.first_pirate(
                     coalition, rivals, union, _key_union(scheme, coalition)
                 )
-                outsider = _trace_violation(scheme, coalition, pirate)
-                if outsider is None:
-                    raise RuntimeError(
-                        f"pirate {list(pirate)} of coalition {list(coalition)} "
-                        "failed its recheck: no outsider ties the trace"
-                    )
                 return TAVerdict(
                     Certainty.false(),
-                    TAWitness(coalition, pirate, outsider),
+                    _tie_witness(scheme, coalition, pirate),
                     detail="exhaustive search found a tracing violation",
                 )
     return TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
@@ -357,9 +355,11 @@ def sample_traceability(
     each coalition's cut is kept, and drawing stops once every coalition has
     been drawn and none has a rival: no later trial could violate.  Neither
     changes the draws before a violation or their order, so the verdict is
-    that of tracing every trial.  Any violation is re-checked by a direct
-    :func:`trace` call before being emitted.  Sampling can only certify
-    falsehood; with no violation found the verdict stays Unresolved.
+    that of tracing every trial.  A rival at or above the best member
+    overlap is always a maximum-overlap decoder, so the witness comes from
+    one direct :func:`trace` call, which raises if no outsider ties.
+    Sampling can only certify falsehood; with no violation found the
+    verdict stays Unresolved.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -400,20 +400,11 @@ def sample_traceability(
         best = max((pmask & masks[i]).bit_count() for i in coalition)
         if all((pmask & masks[u]).bit_count() < best for u in rivals):
             continue
-        pirate = tuple(sorted(drawn))
-        outsider = _trace_violation(scheme, coalition, pirate)
-        if outsider is not None:
-            recheck = trace(scheme, pirate)
-            if outsider in coalition or outsider not in recheck.argmax_decoders:
-                raise RuntimeError(
-                    f"sampled witness failed its recheck: decoder {outsider} is not an "
-                    f"outside maximum-overlap decoder for pirate {list(pirate)}"
-                )
-            return TAVerdict(
-                Certainty.false(),
-                TAWitness(coalition, pirate, outsider),
-                detail=f"violation at trial {t} of {trials} (seed {seed})",
-            )
+        return TAVerdict(
+            Certainty.false(),
+            _tie_witness(scheme, coalition, tuple(sorted(drawn))),
+            detail=f"violation at trial {t} of {trials} (seed {seed})",
+        )
     return TAVerdict(
         Certainty.unresolved(),
         detail=f"0 violations in {trials} trials (seed {seed})",

@@ -10,10 +10,14 @@ references are the symbol-by-symbol loop and the full grid enumeration that
 the library's packed-word and closed-form versions replaced, and the exact
 traceability reference enumerates every pirate instead of searching count
 vectors per (coalition, outsider) pair.  The sampling reference traces every
-drawn pirate instead of only those a rival can tie.  The case-analysis and
-collapse references certify every grid point that the library's base points
-and monotonicity lemmas stand for.  The rejected bound variant lives here
-because only its test uses it.
+drawn pirate instead of only those a rival can tie, and both find the
+violating outsider by scanning :func:`trace`'s argmax themselves.  The sigma
+reference encloses the square root of the radical side by an integer-root
+bracket and compares it by certified enclosures, where the library decides
+that side in exact rationals.  The case-analysis and collapse references
+certify every grid point that the library's base points and monotonicity
+lemmas stand for.  The rejected bound variant lives here because only its
+test uses it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
-from typing import Iterable, Sequence, Tuple
+from math import comb, isqrt, prod
+from typing import Iterable, Optional, Sequence, Tuple
 
 from fptrace.fpcode import (
     Code,
@@ -41,7 +45,6 @@ from fptrace.paramscan import (
     CaseUnitWeight,
     CaseWeightTwo,
     CollapseReport,
-    _collapse_probe_grid,
     classify_pair,
     delta_window,
     entropy_log_bound_check,
@@ -61,12 +64,12 @@ from fptrace.rigor import (
     Enclosure,
     certainty_all,
     certify_less,
+    log2_enclosure,
 )
 from fptrace.tascheme import (
     KeyScheme,
     TAVerdict,
     TAWitness,
-    _trace_violation,
     trace,
 )
 
@@ -296,6 +299,15 @@ def candidate_filter_reference(w_max: int, c_max: int) -> dict:
     return out
 
 
+def outside_argmax(scheme: KeyScheme, coalition: Tuple[int, ...], pirate) -> Optional[int]:
+    """Smallest decoder outside the coalition that attains the pirate's
+    maximum overlap, if any."""
+    for i in trace(scheme, pirate).argmax_decoders:
+        if i not in coalition:
+            return i
+    return None
+
+
 def traceable_exact_reference(
     scheme: KeyScheme, c: int, budget: int = DEFAULT_STEP_BUDGET
 ) -> TAVerdict:
@@ -318,7 +330,7 @@ def traceable_exact_reference(
         for coalition in itertools.combinations(range(n), size):
             union = sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
             for pirate in itertools.combinations(union, k):
-                outsider = _trace_violation(scheme, coalition, pirate)
+                outsider = outside_argmax(scheme, coalition, pirate)
                 if outsider is not None:
                     return TAVerdict(
                         Certainty.false(),
@@ -354,14 +366,8 @@ def sample_traceability_reference(
             union = sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
             union_cache[coalition] = union
         pirate = tuple(sorted(rng.sample(union, k)))
-        outsider = _trace_violation(scheme, coalition, pirate)
+        outsider = outside_argmax(scheme, coalition, pirate)
         if outsider is not None:
-            recheck = trace(scheme, pirate)
-            if outsider in coalition or outsider not in recheck.argmax_decoders:
-                raise RuntimeError(
-                    f"sampled witness failed its recheck: decoder {outsider} is not an "
-                    f"outside maximum-overlap decoder for pirate {list(pirate)}"
-                )
             return TAVerdict(
                 Certainty.false(),
                 TAWitness(coalition, pirate, outsider),
@@ -532,12 +538,48 @@ def verify_cases_grid_reference(
     return CasesReport(case_a, case_b, case_c, case_d)
 
 
+def sqrt_bracket(x: Fraction, bits: int) -> Enclosure:
+    """[r, r + 1] / 2^bits with r = floor(sqrt(x * 4^bits)), which is
+    isqrt(floor(x * 4^bits))."""
+    r = isqrt((x.numerator << (2 * bits)) // x.denominator)
+    return Enclosure(Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
+
+
+def sigma_constraint_reference(
+    l: int, sigma: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> Certainty:
+    """Slow reference for ``sigma_constraint``: both halves by certified
+    enclosure comparisons, the radical side through :func:`sqrt_bracket`,
+    so a tie on that side stays Unresolved."""
+    first = certify_less(
+        lambda bits: log2_enclosure(l, bits),
+        lambda bits: Enclosure.point(sigma * l),
+        precision_bits,
+    )
+    second = certify_less(
+        lambda bits: (sqrt_bracket(169 + 48 * sigma, bits) + 13) / (12 * sigma),
+        lambda bits: Enclosure.point(l),
+        precision_bits,
+    )
+    return certainty_all(first, second)
+
+
+def collapse_probe_grid() -> Tuple[int, ...]:
+    """Every a in [2, 256], then steps of 9/8 up to 2^16: 303 points."""
+    grid = list(range(2, 257))
+    v = 256
+    while v < 1 << 16:
+        v = min(v * 9 // 8, 1 << 16)
+        grid.append(v)
+    return tuple(grid)
+
+
 def collapse_grid_reference(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> CollapseReport:
     """Slow reference for ``theorem10_statement_collapse``: certify the cap
     and the entropy cap at every one of the 303 probe points."""
-    probe = _collapse_probe_grid()
+    probe = collapse_probe_grid()
     rhs_certs = [
         certify_less(
             lambda bits, a=a: weight_log_cap(a, bits),
@@ -549,7 +591,6 @@ def collapse_grid_reference(
     entropy_certs = [entropy_log_bound_check(a, precision_bits) for a in probe]
     return CollapseReport(
         precision_bits=precision_bits,
-        probe=probe,
         rhs_negative=certainty_all(*rhs_certs),
         rhs_at_2=weight_log_cap(2, precision_bits),
         rhs_at_3=weight_log_cap(3, precision_bits),

@@ -1,5 +1,7 @@
 """Certified bound evaluation and the two contradiction reproductions."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +20,7 @@ from fptrace.bounds import (
 )
 from fptrace.rigor import DomainError, log2_enclosure
 
-from tests.helpers import rejected_upper_bound_variant
+from tests.helpers import rejected_upper_bound_variant, sigma_constraint_reference
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,52 @@ def test_sigma_constraint_first_inequality_fails():
 def test_sigma_constraint_second_inequality_fails():
     # tiny sigma blows up the radical side: (13 + sqrt(...))/(12 sigma) >> l
     assert sigma_constraint(4096, F(1, 10**6)).is_false
+
+
+def _radical_tie(l: int) -> F:
+    """The sigma at which l = (13 + sqrt(169 + 48 sigma))/(12 sigma) holds
+    exactly: (12 sigma l - 13)^2 = 169 + 48 sigma, with root 13 + 4/l."""
+    return F(13 * l + 2, 6 * l * l)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_sigma_constraint_radical_tie_is_false(l):
+    """At the tie the strict inequality fails, which enclosures alone could
+    never certify, while log2(l)/l < sigma holds (for l <= 4).  The ties
+    (4, 9/16), (2, 7/6) and (1, 5/2) have integer roots 14, 15 and 17."""
+    sigma = _radical_tie(l)
+    assert sigma_constraint(l, sigma).is_false
+    assert sigma_constraint_reference(l, sigma).is_unresolved
+
+
+def _sigma_pairs(rng, count):
+    """(l, sigma): arbitrary rationals with l <= 2^18, the benchmark's
+    sigma draws, l next to the float threshold of the radical side, and
+    sigma next to the tie for l <= 4.  From l = 5 on, log2(l)/l < sigma
+    implies the radical side, so only the last kind decides by that side
+    alone."""
+    for _ in range(count):
+        yield rng.randint(1, 1 << 18), F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        yield rng.randint(16, 4096), F(rng.randint(1, 300), 1000)
+        sigma = F(rng.randint(1, 10**4), rng.randint(1, 10**4))
+        s = float(sigma)
+        edge = math.floor((13 + math.sqrt(169 + 48 * s)) / (12 * s))
+        for l in range(max(1, edge - 1), edge + 3):
+            yield l, sigma
+        l = rng.randint(1, 4)
+        yield l, _radical_tie(l) + F(rng.choice((-1, 1)), rng.randint(20, 10**12))
+
+
+def test_sigma_constraint_matches_enclosure_reference():
+    """The exact radical side gives the reference's label wherever the
+    reference, which encloses the square root, decides."""
+    decided = 0
+    for l, sigma in _sigma_pairs(random.Random(16), 400):
+        want = sigma_constraint_reference(l, sigma)
+        if not want.is_unresolved:
+            decided += 1
+            assert sigma_constraint(l, sigma) == want, (l, sigma)
+    assert decided > 2000
 
 
 def test_sigma_constraint_rejects_nonpositive():

@@ -1,10 +1,14 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fptrace
 from fptrace import cli, fixtures
 from fptrace.fpcode import parse_code
 from fptrace.tascheme import format_scheme, make_disjoint_scheme, parse_scheme
@@ -377,3 +381,23 @@ def test_json_byte_identical_across_runs(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# package import
+# ---------------------------------------------------------------------------
+
+
+def test_import_fptrace_loads_every_library_module():
+    """``import fptrace`` imports the five library modules, so a fresh
+    interpreter's ``import fptrace`` pays for all of them."""
+    src = str(Path(fptrace.__file__).resolve().parent.parent)
+    probe = "import fptrace, sys; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded = set(done.stdout.split())
+    for name in ("bounds", "fpcode", "paramscan", "rigor", "tascheme"):
+        assert f"fptrace.{name}" in loaded

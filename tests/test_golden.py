@@ -1,6 +1,7 @@
 """Golden CLI outputs: every README command, plus a certified-false bound
-report, a bound report left unresolved at 4096 bits, and scans at 1024 and
-2 bits, in text and JSON, reproduced byte for byte.
+report, a bound report left unresolved at 4096 bits, one whose sigma
+constraint is an exact tie, and scans at 1024 and 2 bits, in text and JSON,
+reproduced byte for byte.
 
 The files under ``tests/golden/`` are ``<name>.txt`` and ``<name>.json``.
 They were written once, before the certification core was refactored (the
@@ -49,6 +50,10 @@ GOLDEN = {
     # log2 of the upper bound is within 2^-4096 of the lower: Unresolved at 4096 bits
     "bounds_thm6_near_tie": ["bounds", "thm6", "--q", "16384", "--delta", "1", "--c", "2",
                              "--sigma", "8191/16384", "--l", "16384"],
+    # l = (13 + sqrt(169 + 48 sigma))/(12 sigma) exactly: the sigma constraint
+    # is CertifiedFalse, decided in exact rationals
+    "bounds_thm6_sigma_tie": ["bounds", "thm6", "--q", "4", "--delta", "1", "--c", "2",
+                              "--sigma", "9/16", "--l", "4"],
     "scan_thm10_1024b": ["scan", "--precision-bits", "1024"],
     "scan_thm10_2b": ["scan", "--wmax", "5", "--cmax", "19", "--precision-bits", "2"],
     # non-square c_max, a 2-bit start, and half-length windows whose upper is

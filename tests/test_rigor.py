@@ -18,7 +18,6 @@ from fptrace.rigor import (
     floor_log2,
     log2_e_enclosure,
     log2_enclosure,
-    sqrt_enclosure,
 )
 
 from tests.helpers import binom_product, log2_bit_expansion, pascal_table
@@ -150,36 +149,6 @@ def test_entropy_symmetry_intersection():
 
 
 # ---------------------------------------------------------------------------
-# sqrt
-# ---------------------------------------------------------------------------
-
-
-def test_sqrt_exact_and_enclosed():
-    assert sqrt_enclosure(169) == Enclosure.point(13)
-    assert sqrt_enclosure(0) == Enclosure.point(0)
-    assert sqrt_enclosure(F(9, 4)) == Enclosure.point(F(3, 2))
-    enc = sqrt_enclosure(F(697, 4), 40)
-    assert enc.width <= F(1, 2**40)
-    # independent two-sided oracle: squares of the endpoints bracket x
-    assert enc.lo * enc.lo <= F(697, 4) <= enc.hi * enc.hi
-    assert enc.lo > F("13.2003") and enc.hi < F("13.2004")
-
-
-def test_sqrt_random_endpoint_squares():
-    rng = random.Random(7)
-    for _ in range(300):
-        x = F(rng.randint(0, 10**6), rng.randint(1, 10**4))
-        enc = sqrt_enclosure(x, 50)
-        assert enc.lo >= 0
-        assert enc.lo * enc.lo <= x <= enc.hi * enc.hi
-
-
-def test_sqrt_domain():
-    with pytest.raises(DomainError):
-        sqrt_enclosure(F(-1, 4))
-
-
-# ---------------------------------------------------------------------------
 # log2(e)
 # ---------------------------------------------------------------------------
 
@@ -212,7 +181,6 @@ def test_enclosures_contain_mpmath_values(bits):
     cases = (
         [(log2_enclosure(x, bits), ctx.log(rational(x), 2)) for x in xs]
         + [(entropy_enclosure(p, bits), entropy(rational(p))) for p in ps]
-        + [(sqrt_enclosure(x, bits), ctx.sqrt(rational(x))) for x in xs]
         + [(log2_e_enclosure(bits), 1 / ctx.ln(2))]
     )
     for enc, value in cases:
@@ -222,15 +190,12 @@ def test_enclosures_contain_mpmath_values(bits):
 
 def test_enclosure_endpoints_pinned():
     """Exact endpoints at 64 bits: the working precision each producer
-    starts from (p + 8 for sqrt, p + 16 for log2 and log2 e) is part of
-    the output, so refactoring the refinement loop must not move it."""
+    starts from (p + 16 for log2 and log2 e) is part of the output, so
+    refactoring the refinement loop must not move it."""
 
     def dyadic(lo, lo_exp, hi, hi_exp):
         return Enclosure(F(lo, 2**lo_exp), F(hi, 2**hi_exp))
 
-    assert sqrt_enclosure(2, 64) == dyadic(
-        3339217363285192246361, 71, 6678434726570384492723, 72
-    )
     assert log2_enclosure(3, 64) == dyadic(
         1916102090242776021049307, 80, 1916102090242776021049399, 80
     )
@@ -285,9 +250,8 @@ def test_certify_equal_values_unresolved_with_cap():
         lambda b: Enclosure.point(7),
         lambda b: Enclosure.point(7),
         precision_bits=64,
-        max_bits=256,
     )
-    assert cert.is_unresolved and cert.precision_bits == 256
+    assert cert.is_unresolved and cert.precision_bits == 4096
 
 
 @given(

@@ -242,18 +242,24 @@ def test_sampling_triangle_finds_witness():
 
 def test_sampling_recheck_rejects_wrong_outsider(monkeypatch):
     """The recheck is a real check, so it also holds under ``python -O``.
-    Decoders 1-3 frame each other, and a coalition holding decoder 0, whose
-    keys no other decoder shares, has no rival; so each trial that reaches
-    the witness step has decoder 0 as its smallest outsider, with overlap 0."""
-    scheme = keyed(9, (0, 1, 2), (3, 4, 6), (4, 5, 7), (3, 5, 8))
-    wrong = (
-        lambda sch, coalition, pirate: coalition[0],  # a member
-        lambda sch, coalition, pirate: min(set(range(sch.n)) - set(coalition)),  # overlap 0
+    A cut that reports the members as rivals passes every trial's pirate
+    on, and no outsider of a disjoint scheme ever ties, so the first
+    recheck must fail."""
+    monkeypatch.setattr(
+        tascheme, "_coalition_cut", lambda masks, coalition, k: (0, list(coalition))
     )
-    for fake in wrong:
-        monkeypatch.setattr(tascheme, "_trace_violation", fake)
-        with pytest.raises(RuntimeError, match="failed its recheck"):
-            sample_traceability(scheme, 2, 10, 1)
+    with pytest.raises(RuntimeError, match="failed its recheck"):
+        sample_traceability(make_disjoint_scheme(6, 3, 2), 2, 10, 1)
+
+
+def test_exact_recheck_rejects_untied_pirate(monkeypatch):
+    """The exact verifier traces the pirate its search hands over: (0, 1)
+    is decoder 0's own key set, which only that member of (0, 1) tops."""
+    monkeypatch.setattr(
+        tascheme._PairSearch, "first_pirate", lambda self, *args: (0, 1)
+    )
+    with pytest.raises(RuntimeError, match="failed its recheck"):
+        is_traceable_exact(triangle(), 2)
 
 
 # Captured from the sampler that draws and traces every trial.  Both schemes
