@@ -212,7 +212,6 @@ class BoundReport:
     upper_exact: Fraction
     sigma_certainty: Certainty
     contradiction: Certainty
-    s: Optional[int] = None
     sw_detail: Optional[SWBoundReport] = None
 
     @property
@@ -225,7 +224,7 @@ def contradiction_report_thm6(
 ) -> BoundReport:
     """Certify (or refute) upper < lower for the frame-proof setting."""
     upper = Fraction(ssw_upper(p.l, p.c, s))
-    return _contradiction_report("thm6", p, thm6_lower, upper, precision_bits, s=s)
+    return _contradiction_report("thm6", p, thm6_lower, upper, precision_bits)
 
 
 def contradiction_report_thm7(
@@ -244,11 +243,10 @@ def _contradiction_report(
     lower: Callable[..., Enclosure],
     upper_exact: Fraction,
     precision_bits: int,
-    **detail,
+    sw_detail: Optional[SWBoundReport] = None,
 ) -> BoundReport:
     """The report body both theorems share: ``lower(p, bits)`` against the
-    log2 of the exact upper bound, with ``detail`` as the theorem's extra
-    fields."""
+    log2 of the exact upper bound."""
 
     def make_lower(bits: int) -> Enclosure:
         return lower(p, bits)
@@ -264,5 +262,5 @@ def _contradiction_report(
         upper_exact=upper_exact,
         sigma_certainty=sigma_constraint(p.l, p.sigma, precision_bits),
         contradiction=certify_less(make_upper, make_lower, precision_bits),
-        **detail,
+        sw_detail=sw_detail,
     )

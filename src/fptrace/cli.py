@@ -55,6 +55,7 @@ BOUNDED_FLAGS = (
     ("wmax", "--wmax", paramscan.MIN_SCAN_W, MAX_SCAN_EXTENT, _PROBE_NOTE),
     ("cmax", "--cmax", paramscan.MIN_SCAN_C, MAX_SCAN_EXTENT, _PROBE_NOTE),
     ("l", "--l", 1, MAX_BOUND_LENGTH, ""),
+    ("delta", "--delta", 1, MAX_BOUND_LENGTH, ""),
     ("s", "--s", 2, fpcode.MAX_ALPHABET, ""),
 )
 
@@ -96,12 +97,16 @@ def _jsonable(obj):
 
 
 def _emit(report: dict, lines, fmt: str) -> None:
-    if fmt == "json":
-        payload = {"schema": SCHEMA_VERSION, **report}
-        print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    """Print ``report`` as JSON, or the text lines that ``lines()`` builds.
+    Both render under :func:`_exact_integer_digits`, so that exact values
+    print in full; inputs were parsed before, under Python's digit limit."""
+    with _exact_integer_digits():
+        if fmt == "json":
+            payload = {"schema": SCHEMA_VERSION, **report}
+            print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+        else:
+            for line in lines():
+                print(line)
 
 
 def _enc_line(label: str, enc: Enclosure) -> str:
@@ -170,20 +175,17 @@ def cmd_verify_fp(args) -> int:
         "frameproof": verdict.is_frameproof,
         "witness": verdict.witness,
     }
-    lines = [
+    wit = verdict.witness
+    _emit(report, lambda: [
         f"command: verify-fp {name}",
         f"code: n={code.n} l={code.length} s={code.s}",
         f"weights: {{{', '.join(str(w) for w in weights)}}}",
         f"min distance: {dist if dist is not None else 'n/a (single codeword)'}",
         f"c: {args.c}  definition: {definition.value}",
         f"frame-proof: {str(verdict.is_frameproof).lower()}",
-    ]
-    if verdict.witness is not None:
-        w = verdict.witness
-        lines.append(
-            f"witness: coalition {list(w.coalition)} frames codeword {w.framed}"
-        )
-    _emit(report, lines, args.format)
+        *([f"witness: coalition {list(wit.coalition)} frames codeword {wit.framed}"]
+          if wit else []),
+    ], args.format)
     return 0
 
 
@@ -210,20 +212,16 @@ def cmd_verify_ta(args) -> int:
         "method": method,
         **_jsonable(verdict),
     }
-    lines = [
+    wit = verdict.witness
+    _emit(report, lambda: [
         f"command: verify-ta {name}",
         f"scheme: l={scheme.l} n={scheme.n} k={scheme.k}",
         f"c: {args.c}  method: {method}",
         f"verdict: {verdict.verdict}",
         f"detail: {verdict.detail}",
-    ]
-    if verdict.witness is not None:
-        w = verdict.witness
-        lines.append(
-            f"witness: coalition {list(w.coalition)} builds pirate "
-            f"{list(w.pirate)}, outsider decoder {w.outsider} ties the trace"
-        )
-    _emit(report, lines, args.format)
+        *([f"witness: coalition {list(wit.coalition)} builds pirate {list(wit.pirate)}, "
+           f"outsider decoder {wit.outsider} ties the trace"] if wit else []),
+    ], args.format)
     return 0
 
 
@@ -283,16 +281,16 @@ def cmd_bounds(args) -> int:
         "sw_detail": rep.sw_detail,
         "contradiction": rep.contradiction,
     }
-    with _exact_integer_digits():
-        _emit(report, _bound_report_lines(rep), args.format)
+    _emit(report, lambda: _bound_report_lines(rep), args.format)
     return 0
 
 
 @contextlib.contextmanager
 def _exact_integer_digits():
     """Lift Python's int-to-str digit limit (4300 by default, a guard for
-    parsing) while printing exact bounds, which can be longer: with c = 2
-    the thm6 upper bound has about 0.15*l decimal digits."""
+    parsing) while printing exact values, which can be longer: with c = 2
+    the thm6 upper bound has about 0.15*l decimal digits, and an entropy
+    enclosure's endpoints carry the digits of x's denominator."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
         yield
         return
@@ -360,7 +358,7 @@ def cmd_scan(args) -> int:
         **_jsonable(rep),
         "certified_infeasible": rep.certified_infeasible,
     }
-    _emit(report, _scan_lines(rep), args.format)
+    _emit(report, lambda: _scan_lines(rep), args.format)
     return 0
 
 
@@ -374,12 +372,11 @@ def cmd_entropy(args) -> int:
         "enclosure": enc,
     }
     width_ok = enc.width <= Fraction(1, 2**args.precision_bits)
-    lines = [
+    _emit(report, lambda: [
         f"command: entropy {x}",
         _enc_line(f"H({x})", enc),
         f"width <= 2^-{args.precision_bits}: {str(width_ok).lower()}",
-    ]
-    _emit(report, lines, args.format)
+    ], args.format)
     return 0
 
 
@@ -391,8 +388,7 @@ def cmd_fixtures(args) -> int:
             "action": "list",
             "fixtures": [{"name": n, "summary": s} for n, s in rows],
         }
-        lines = [f"{n:<20s} {s}" for n, s in rows]
-        _emit(report, lines, args.format)
+        _emit(report, lambda: [f"{n:<20s} {s}" for n, s in rows], args.format)
         return 0
     if args.name is None:
         raise CliError("fixtures emit needs a fixture name")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .fpcode import Code, construct_identity_concat, format_code
+from .fpcode import Code, construct_identity_concat, format_code, parse_code
 from .tascheme import KeyScheme, format_scheme, make_disjoint_scheme
 
 
@@ -22,7 +22,7 @@ def gamma64() -> Code:
 def lemma3_g() -> Code:
     """The code {0011, 0110, 1100}: not 2-frame-proof (the outer pair's
     feasible set is the whole space, framing the middle word)."""
-    return Code.from_strings(["0011", "0110", "1100"])
+    return parse_code("0011\n0110\n1100")
 
 
 def disjoint_256_8_32() -> KeyScheme:

@@ -32,10 +32,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
-from .rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError, check_step_budget
+# BudgetExceededError is raised through coalitions; callers catch it from here.
+from .rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError, coalitions  # noqa: F401
 
 Word = Tuple[int, ...]
 
@@ -77,13 +77,6 @@ class Code:
                     raise DomainError(f"symbol {sym} outside alphabet of size {self.s}")
         if len(set(self.codewords)) != len(self.codewords):
             raise DomainError("codewords must be pairwise distinct")
-
-    @classmethod
-    def from_strings(cls, rows: Iterable[str], s: Optional[int] = None) -> "Code":
-        words = tuple(tuple(int(ch, 16) for ch in row) for row in rows)
-        if s is None:
-            s = max(2, max((sym for w in words for sym in w), default=0) + 1)
-        return cls(words, s)
 
     @property
     def n(self) -> int:
@@ -166,27 +159,17 @@ def is_frameproof(
 ) -> FrameproofVerdict:
     """Exact verdict: can any coalition of size <= c frame an outside user?
 
-    Coalitions are checked in ascending size, lexicographically within each
-    size, and the first violation found is returned as the witness, with
-    the smallest framed outsider.  A step is one (coalition, outsider) pair
-    test; when the sum of C(n, j) * (n - j) over sizes 2 <= j <= min(c, n)
-    exceeds ``budget``, ``BudgetExceededError`` is raised before any test,
-    naming the sum through the first size that passes it.
+    Coalitions are walked, and over-budget walks refused up front, by
+    :func:`rigor.coalitions`; the first violation found is returned as the
+    witness, with the smallest framed outsider.
     """
-    if c < 1:
-        raise DomainError("coalition bound c must be >= 1")
-    n = code.n
-    top = min(c, n)
-    # A single member's feasible set is its own word, and codewords are
-    # distinct, so coalitions of one frame nobody and cost nothing.
-    check_step_budget((comb(n, j) * (n - j) for j in range(2, top + 1)), budget)
+    _, walk = coalitions(code.n, c, budget)
     keys, mask_of = _mask_test(code, definition)
-    for size in range(2, top + 1):
-        for coalition in itertools.combinations(range(n), size):
-            mask, target = mask_of(coalition)
-            for x, key in enumerate(keys):
-                if key & mask == target and x not in coalition:
-                    return FrameproofVerdict(False, FrameWitness(coalition, x))
+    for coalition in walk:
+        mask, target = mask_of(coalition)
+        for x, key in enumerate(keys):
+            if key & mask == target and x not in coalition:
+                return FrameproofVerdict(False, FrameWitness(coalition, x))
     return FrameproofVerdict(True)
 
 
@@ -234,12 +217,12 @@ def weight_set(code: Code) -> set:
 # ---------------------------------------------------------------------------
 
 
-def parse_code(text: str, s: Optional[int] = None) -> Code:
+def parse_code(text: str) -> Code:
     """Parse the code file format.
 
     Lines hold equal-length words of symbols 0..s-1 (hex digits for s > 10);
-    '#' starts a comment and blank lines are ignored.  When ``s`` is omitted
-    it is inferred as one more than the largest symbol present (minimum 2).
+    '#' starts a comment and blank lines are ignored.  The alphabet size s
+    is one more than the largest symbol present (minimum 2).
     """
     rows = []
     length = None
@@ -258,17 +241,10 @@ def parse_code(text: str, s: Optional[int] = None) -> Code:
             raise CodeFormatError(
                 f"line {lineno}: length {len(symbols)} differs from previous {length}"
             )
-        if s is not None:
-            for sym in symbols:
-                if sym >= s:
-                    raise CodeFormatError(
-                        f"line {lineno}: symbol {sym} outside alphabet of size {s}"
-                    )
         rows.append(tuple(symbols))
     if not rows:
         raise CodeFormatError("no codewords found")
-    if s is None:
-        s = max(2, max(max(w) for w in rows) + 1)
+    s = max(2, max(max(w) for w in rows) + 1)
     try:
         return Code(tuple(rows), s)
     except DomainError as exc:

@@ -20,11 +20,12 @@ point interval [45, 45] instead of a 46-bit integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -43,19 +44,30 @@ class BudgetExceededError(RuntimeError):
     """The requested exact verification exceeds its step budget."""
 
 
-def check_step_budget(counts: Iterable[int], budget: int) -> int:
-    """Refuse up front an exact verification that needs more steps than
-    ``budget``, and return its step total.  ``counts`` gives the steps of
-    each coalition size in turn; the sum stops at the first size that takes
-    it past ``budget``, so the refusal counts the steps through that size."""
+def coalitions(n: int, c: int, budget: int) -> Tuple[int, Iterator[Tuple[int, ...]]]:
+    """The pair tests an exact verifier makes over n users at coalition
+    bound c, and its walk: every coalition of 2 to min(c, n) users, ascending
+    in size and lexicographic within a size.
+
+    Coalitions of one are left out.  A lone member's feasible set is its own
+    codeword, and its only pirate is its own key set; codewords and decoders
+    are distinct, so no outsider is framed or ties the trace.  A step is one
+    (coalition, outsider) pair test, C(n, j) * (n - j) for size j; before any
+    test, ``BudgetExceededError`` refuses a walk whose steps pass ``budget``,
+    naming the sum through the first size that passes it.
+    """
+    if c < 1:
+        raise DomainError("coalition bound c must be >= 1")
+    sizes = range(2, min(c, n) + 1)
     steps = 0
-    for count in counts:
-        steps += count
+    for j in sizes:
+        steps += math.comb(n, j) * (n - j)
         if steps > budget:
             raise BudgetExceededError(
                 f"exact verification needs ~{steps} steps, budget is {budget}"
             )
-    return steps
+    walk = itertools.chain.from_iterable(itertools.combinations(range(n), j) for j in sizes)
+    return steps, walk
 
 
 def _as_fraction(x) -> Fraction:
@@ -64,10 +76,8 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, float):
-        raise DomainError("floats are not exact; pass an int, Fraction, or 'p/q' string")
+        raise DomainError("floats are not exact; pass an int or Fraction")
     raise DomainError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -156,9 +166,10 @@ def certainty_all(*items: Certainty) -> Certainty:
 class Enclosure:
     """Closed rational interval [lo, hi] containing a real value.
 
-    Arithmetic between enclosures is exact interval arithmetic on rational
-    endpoints (no rounding is ever needed for +, -, *, /), so combining sound
-    enclosures yields sound enclosures.
+    Arithmetic is exact interval arithmetic on rational endpoints (no
+    rounding is ever needed), so combining sound enclosures yields sound
+    enclosures.  An enclosure adds, subtracts and divides an enclosure or a
+    rational, and multiplies a rational.
     """
 
     lo: Fraction
@@ -200,40 +211,22 @@ class Enclosure:
 
     # -- exact interval arithmetic -------------------------------------------
 
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
     def __add__(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
             return Enclosure(self.lo + other.lo, self.hi + other.hi)
         r = _as_fraction(other)
         return Enclosure(self.lo + r, self.hi + r)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
             return Enclosure(self.lo - other.hi, self.hi - other.lo)
         return self + (-_as_fraction(other))
 
-    def __rsub__(self, other) -> "Enclosure":
-        return (-self) + _as_fraction(other)
-
     def __mul__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return Enclosure(min(products), max(products))
         r = _as_fraction(other)
         if r >= 0:
             return Enclosure(self.lo * r, self.hi * r)
         return Enclosure(self.hi * r, self.lo * r)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
@@ -251,20 +244,12 @@ class Enclosure:
             raise DomainError("division by zero")
         return self * (Fraction(1) / r)
 
-    def __rtruediv__(self, other) -> "Enclosure":
-        return Enclosure.point(_as_fraction(other)) / self
-
     # -- rendering ------------------------------------------------------------
 
     def decimal_str(self, digits: int = 12) -> str:
         """Midpoint to ``digits`` decimals, with an explicit half-width."""
         half = self.width / 2
         return f"{decimal_fixed(self.midpoint, digits)} ± {decimal_sci(half)}"
-
-    def __str__(self) -> str:
-        if self.is_point:
-            return f"[{self.lo}]"
-        return f"[{self.lo}, {self.hi}]"
 
 
 def decimal_fixed(x: Fraction, digits: int) -> str:

@@ -28,7 +28,6 @@ verdicts, are those of tracing every trial.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,8 +39,13 @@ from .rigor import (
     BudgetExceededError,
     Certainty,
     DomainError,
-    check_step_budget,
+    coalitions,
 )
+
+
+# Each decoder is held as an l-bit key mask, so a file may ask for at most
+# this many mask bits in all.
+MAX_KEY_BITS = 1 << 28
 
 
 class SchemeFormatError(ValueError):
@@ -186,34 +190,29 @@ def is_traceable_exact(
     A pair is skipped when u shares fewer than ceil(k/|C|) keys with the
     union, because some member overlaps every pirate at least that much;
     otherwise a search over count vectors of the pair's signature classes
-    decides it.  Coalitions are taken ascending in size and lexicographic
-    within a size.  The witness is the first violating coalition, its
-    lexicographically first violating pirate (built key by key) and that
-    pirate's smallest outside maximum-overlap decoder: what enumerating the
-    pirates in order would report first.  A step is one pair test or one
-    count vector; ``BudgetExceededError`` is raised before any test when the
-    pair tests alone exceed ``budget``, and mid-search when the count
-    vectors take the total past it.
+    decides it.  Coalitions are walked by :func:`rigor.coalitions`.  The
+    witness is the first violating coalition, its lexicographically first
+    violating pirate (built key by key) and that pirate's smallest outside
+    maximum-overlap decoder: what enumerating the pirates in order would
+    report first.  A step is one pair test or one count vector; the walk
+    refuses up front when the pair tests alone exceed ``budget``, and
+    ``BudgetExceededError`` is raised mid-search when the count vectors take
+    the total past it.
     """
-    if c < 1:
-        raise DomainError("coalition bound c must be >= 1")
-    n, k = scheme.n, scheme.k
-    top = min(c, n)
-    pair_tests = check_step_budget((comb(n, j) * (n - j) for j in range(1, top + 1)), budget)
-    masks = scheme._masks
+    pair_tests, walk = coalitions(scheme.n, c, budget)
+    masks, k = scheme._masks, scheme.k
     search = _PairSearch(masks, k, budget, pair_tests)
-    for size in range(1, top + 1):
-        for coalition in itertools.combinations(range(n), size):
-            union, rivals = _coalition_cut(masks, coalition, k)
-            if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
-                pirate = search.first_pirate(
-                    coalition, rivals, union, _key_union(scheme, coalition)
-                )
-                return TAVerdict(
-                    Certainty.false(),
-                    _tie_witness(scheme, coalition, pirate),
-                    detail="exhaustive search found a tracing violation",
-                )
+    for coalition in walk:
+        union, rivals = _coalition_cut(masks, coalition, k)
+        if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
+            pirate = search.first_pirate(
+                coalition, rivals, union, _key_union(scheme, coalition)
+            )
+            return TAVerdict(
+                Certainty.false(),
+                _tie_witness(scheme, coalition, pirate),
+                detail="exhaustive search found a tracing violation",
+            )
     return TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
 
 
@@ -327,13 +326,20 @@ def is_traceable_structural_disjoint(scheme: KeyScheme, c: int) -> TAVerdict:
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
-    for i, j in itertools.combinations(range(scheme.n), 2):
-        shared = scheme.decoders[i] & scheme.decoders[j]
-        if shared:
-            raise DomainError(
-                f"decoders {i} and {j} share key {min(shared)}; "
-                "the structural argument needs pairwise-disjoint decoders"
-            )
+    # Each key's first owner, and every (first owner, later owner) pair; the
+    # smallest such pair is the lexicographically first pair sharing a key.
+    first, clashes = {}, []
+    for j, d in enumerate(scheme.decoders):
+        for key in d:
+            i = first.setdefault(key, j)
+            if i != j:
+                clashes.append((i, j))
+    if clashes:
+        i, j = min(clashes)
+        raise DomainError(
+            f"decoders {i} and {j} share key {min(scheme.decoders[i] & scheme.decoders[j])}; "
+            "the structural argument needs pairwise-disjoint decoders"
+        )
     return TAVerdict(
         Certainty.true(),
         detail="pairwise-disjoint decoders: outsiders overlap 0, "
@@ -373,12 +379,12 @@ def sample_traceability(
         )
     rng = random.Random(seed)
     masks = scheme._masks
-    coalitions = 0
+    total = 0
     for j in range(2, top + 1):
-        coalitions += comb(n, j)
-        if coalitions > trials:  # at large n and c the full sum takes seconds
+        total += comb(n, j)
+        if total > trials:  # at large n and c the full sum takes seconds
             break
-    keep = coalitions <= trials
+    keep = total <= trials
     cuts: dict = {}
     for t in range(trials):
         size = rng.randint(2, top)
@@ -388,7 +394,7 @@ def sample_traceability(
             cut = _key_union(scheme, coalition), _coalition_cut(masks, coalition, k)[1]
             if keep:
                 cuts[coalition] = cut
-                if len(cuts) == coalitions and not any(rivals for _, rivals in cuts.values()):
+                if len(cuts) == total and not any(rivals for _, rivals in cuts.values()):
                     break
         keys, rivals = cut
         drawn = rng.sample(keys, k)
@@ -451,6 +457,10 @@ def parse_scheme(text: str) -> KeyScheme:
     if header is None:
         raise SchemeFormatError("missing 'l n k' header line")
     l, n, k = header[1]
+    if n * l > MAX_KEY_BITS:
+        raise SchemeFormatError(
+            f"line {header[0]}: n*l = {n * l} key-mask bits, more than 2^28"
+        )
     if len(rows) != n:
         raise SchemeFormatError(f"expected {n} decoder lines, found {len(rows)}")
     decoders = []

@@ -9,12 +9,14 @@ library's integer mask tests.  The minimum-distance and candidate-filter
 references are the symbol-by-symbol loop and the full grid enumeration that
 the library's packed-word and closed-form versions replaced, and the exact
 traceability reference enumerates every pirate instead of searching count
-vectors per (coalition, outsider) pair.  The sampling reference traces every
-drawn pirate instead of only those a rival can tie, and both find the
-violating outsider by scanning :func:`trace`'s argmax themselves.  The sigma
-reference encloses the square root of the radical side by an integer-root
-bracket and compares it by certified enclosures, where the library decides
-that side in exact rationals.  The case-analysis and collapse references
+vectors per (coalition, outsider) pair.  The structural reference
+intersects every pair of decoders instead of mapping each key to its
+owners.  The sampling reference traces every drawn pirate instead of only
+those a rival can tie, and both find the violating outsider by scanning
+:func:`trace`'s argmax themselves.  The sigma reference encloses the square
+root of the radical side by an integer-root bracket and compares it by
+certified enclosures, where the library decides that side in exact
+rationals.  The case-analysis and collapse references
 certify every grid point that the library's base points and monotonicity
 lemmas stand for.  The rejected bound variant lives here because only its
 test uses it.
@@ -338,6 +340,26 @@ def traceable_exact_reference(
                         detail="exhaustive search found a tracing violation",
                     )
     return TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
+
+
+def structural_disjoint_reference(scheme: KeyScheme, c: int) -> TAVerdict:
+    """Slow reference for ``is_traceable_structural_disjoint``: intersect
+    every pair of decoders, in lexicographic order, and refuse at the first
+    pair that shares a key."""
+    if c < 1:
+        raise DomainError("coalition bound c must be >= 1")
+    for i, j in itertools.combinations(range(scheme.n), 2):
+        shared = scheme.decoders[i] & scheme.decoders[j]
+        if shared:
+            raise DomainError(
+                f"decoders {i} and {j} share key {min(shared)}; "
+                "the structural argument needs pairwise-disjoint decoders"
+            )
+    return TAVerdict(
+        Certainty.true(),
+        detail="pairwise-disjoint decoders: outsiders overlap 0, "
+        "some member overlaps >= ceil(k/c) >= 1",
+    )
 
 
 def sample_traceability_reference(

@@ -21,7 +21,7 @@ from fptrace.bounds import (
     contradiction_report_thm7,
     thm7_lower,
 )
-from fptrace.fpcode import Code, FeasibleDefinition, is_frameproof
+from fptrace.fpcode import FeasibleDefinition, is_frameproof, parse_code
 from fptrace.paramscan import (
     CaseTag,
     EitherOr,
@@ -169,7 +169,7 @@ def test_criterion_05_triangle_negative():
 
 def test_criterion_06_lemma3_example():
     with _Criterion(6, "G = {0011, 0110, 1100} is not 2-frame-proof", 1.0):
-        code = Code.from_strings(["0011", "0110", "1100"])
+        code = parse_code("0011\n0110\n1100")
         verdict = is_frameproof(code, 2)
         assert not verdict.is_frameproof
         assert verdict.witness.coalition == (0, 2)  # {0011, 1100}

@@ -73,16 +73,15 @@ def test_verify_fp_unknown_input(capsys):
 @pytest.mark.parametrize("argv, text, steps", [
     # 400 words at c = 3: C(400, 2) * 398 + C(400, 3) * 397 pair tests
     (["verify-fp", "--c", "3"], "".join(f"{i:09b}\n" for i in range(400)), 4234720000),
-    # 2000 one-key decoders at c = 2: 2000 * 1999 + C(2000, 2) * 1998 pair tests
+    # 2000 one-key decoders at c = 2: C(2000, 2) * 1998 pair tests
     (["verify-ta", "--c", "2", "--method", "exact"],
-     format_scheme(make_disjoint_scheme(2000, 2000, 1)), 3998000000),
+     format_scheme(make_disjoint_scheme(2000, 2000, 1)), 3994002000),
     # at c = n = 15000 the count stops at the first size that passes the
-    # budget: C(15000, 2) * 14998 pair tests for codes, plus 15000 * 14999
-    # for one-key decoders
+    # budget: C(15000, 2) * 14998 pair tests, for codes and schemes alike
     (["verify-fp", "--c", "15000"], "".join(f"{i:014b}\n" for i in range(15000)),
      1687162515000),
     (["verify-ta", "--c", "15000", "--method", "exact"],
-     format_scheme(make_disjoint_scheme(15000, 15000, 1)), 1687387500000),
+     format_scheme(make_disjoint_scheme(15000, 15000, 1)), 1687162515000),
 ], ids=["verify-fp", "verify-ta", "verify-fp-15000", "verify-ta-15000"])
 def test_exact_verification_over_budget_is_an_error(tmp_path, capsys, argv, text, steps):
     path = tmp_path / "input.txt"
@@ -297,6 +296,8 @@ def test_trials_is_bounded_only_where_the_sampler_reads_it(capsys):
     ("--l", "4194304", 1, 262144),
     ("--s", "1", 2, 16),
     ("--s", "17", 2, 16),
+    ("--delta", "0", 1, 262144),
+    ("--delta", "262145", 1, 262144),
 ])
 def test_bounds_length_and_alphabet_out_of_range_is_an_error(capsys, flag, value, low, high):
     params = {"--q": "4194304", "--delta": "1", "--c": "2", "--sigma": "1/4", "--l": "64"}
@@ -311,7 +312,8 @@ def test_bounds_length_and_alphabet_out_of_range_is_an_error(capsys, flag, value
 def test_bounds_prints_exact_upper_past_the_digit_limit(capsys, fmt):
     """The thm6 upper bound 2*(2^16384 - 1) has 4,933 decimal digits, more
     than Python's default int-to-str limit of 4,300, which is restored after
-    printing."""
+    printing.  So do the endpoints of H(1/10^4290), whose x still parses
+    under the limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     before = limit()
     code, out, err = run(
@@ -328,6 +330,14 @@ def test_bounds_prints_exact_upper_past_the_digit_limit(capsys, fmt):
     assert len(digits) == 4933
     with cli._exact_integer_digits():
         assert digits == str(2 * (2**16384 - 1))
+    x = "1/1" + "0" * 4290
+    code, out, err = run(capsys, "entropy", x, "--format", fmt)
+    assert code == 0 and err == ""
+    assert limit() == before
+    if fmt == "json":
+        assert json.loads(out)["x"] == x
+    else:
+        assert out.startswith(f"command: entropy {x}\n")
 
 
 def test_fixture_round_trips(capsys):

@@ -40,7 +40,7 @@ CRD = FeasibleDefinition.COORDINATE_SET
 
 
 def test_pattern_unanimity_example():
-    code = Code.from_strings(["0011", "0110"])
+    code = parse_code("0011\n0110")
     pat = feasible_pattern(code, [0, 1], UNA)
     assert pat.allowed == (
         frozenset({0}),
@@ -53,23 +53,23 @@ def test_pattern_unanimity_example():
 
 
 def test_pattern_singleton_admits_exactly_parent():
-    code = Code.from_strings(["0011", "0110"])
+    code = parse_code("0011\n0110")
     for definition in (UNA, CRD):
         assert enumerate_feasible(code, [0], definition) == {(0, 0, 1, 1)}
 
 
 def test_pattern_complementary_words_free_everything():
-    code = Code.from_strings(["0011", "1100"])
+    code = parse_code("0011\n1100")
     pat = feasible_pattern(code, [0, 1], CRD)
     assert all(a == frozenset({0, 1}) for a in pat.allowed)
     assert len(enumerate_feasible(code, [0, 1], CRD)) == 16
 
 
 def test_feasible_contains_examples():
-    code = Code.from_strings(["0011", "0110"])
+    code = parse_code("0011\n0110")
     pat = feasible_pattern(code, [0, 1], UNA)
     assert not feasible_contains(pat, (1, 1, 0, 0))  # position 0 pinned to 0
-    both = Code.from_strings(["0011", "1100"])
+    both = parse_code("0011\n1100")
     assert feasible_contains(feasible_pattern(both, [0, 1], UNA), (0, 1, 1, 0))
     # parents are always feasible
     for definition in (UNA, CRD):
@@ -78,14 +78,14 @@ def test_feasible_contains_examples():
 
 
 def test_feasible_contains_length_mismatch():
-    code = Code.from_strings(["0011", "0110"])
+    code = parse_code("0011\n0110")
     pat = feasible_pattern(code, [0, 1], UNA)
     with pytest.raises(DomainError):
         feasible_contains(pat, (0, 1))
 
 
 def test_enumerate_matches_membership_exactly():
-    code = Code.from_strings(["0011", "0110"])
+    code = parse_code("0011\n0110")
     feas = enumerate_feasible(code, [0, 1], UNA)
     assert feas == {(0, 0, 1, 1), (0, 0, 1, 0), (0, 1, 1, 1), (0, 1, 1, 0)}
     pat = feasible_pattern(code, [0, 1], UNA)
@@ -96,7 +96,7 @@ def test_enumerate_matches_membership_exactly():
 
 
 def test_empty_coalition_rejected():
-    code = Code.from_strings(["01", "10"])
+    code = parse_code("01\n10")
     with pytest.raises(DomainError):
         feasible_pattern(code, [], UNA)
     with pytest.raises(DomainError):
@@ -105,7 +105,7 @@ def test_empty_coalition_rejected():
 
 def test_enumeration_size_guard():
     rows = ["0" * 30, "1" * 30]
-    code = Code.from_strings(rows)
+    code = parse_code("\n".join(rows))
     with pytest.raises(BudgetExceededError):
         enumerate_feasible(code, [0, 1], UNA)
 
@@ -125,7 +125,7 @@ def test_gamma64_is_2_frameproof():
 
 
 def test_lemma3_code_not_frameproof_with_witness():
-    code = Code.from_strings(["0011", "0110", "1100"])
+    code = parse_code("0011\n0110\n1100")
     verdict = is_frameproof(code, 2)
     assert not verdict.is_frameproof
     assert verdict.witness.coalition == (0, 2)
@@ -149,7 +149,7 @@ def test_is_frameproof_budget_guard():
 def test_budget_refusal_matches_reference():
     """One step per (coalition, outsider) pair test: three pairs of three
     words, one outsider each."""
-    code = Code.from_strings(["0011", "0110", "1100"])
+    code = parse_code("0011\n0110\n1100")
     message = "exact verification needs ~3 steps, budget is 2"
     for verify in (is_frameproof, frameproof_reference):
         with pytest.raises(BudgetExceededError) as refused:
@@ -163,7 +163,7 @@ def test_budget_refusal_matches_reference():
 def test_budget_refusal_stops_at_the_first_size_over_budget():
     """At c = n = 15000 the pairs alone, C(15000, 2) * 14998 pair tests,
     pass the budget, so the refusal names them and sums no larger size."""
-    code = Code.from_strings([f"{i:014b}" for i in range(15000)])
+    code = parse_code("\n".join(f"{i:014b}" for i in range(15000)))
     message = "exact verification needs ~1687162515000 steps, budget is 1000000000"
     for verify in (is_frameproof, frameproof_reference):
         with pytest.raises(BudgetExceededError) as refused:
@@ -208,7 +208,7 @@ def test_min_distance_matches_reference(code):
 
 
 def test_is_frameproof_rejects_bad_c():
-    code = Code.from_strings(["01", "10"])
+    code = parse_code("01\n10")
     with pytest.raises(DomainError):
         is_frameproof(code, 0)
 
@@ -227,12 +227,12 @@ def test_identity_concat_examples():
 
 
 def test_min_distance_and_weights():
-    assert min_distance(Code.from_strings(["00", "11"])) == 2
-    g = Code.from_strings(["0011", "0110", "1100"])
+    assert min_distance(parse_code("00\n11")) == 2
+    g = parse_code("0011\n0110\n1100")
     assert min_distance(g) == 2
     assert weight_set(g) == {2}
     with pytest.raises(DomainError):
-        min_distance(Code.from_strings(["01"]))
+        min_distance(parse_code("01"))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_definitions_diverge_beyond_binary():
     """Over a ternary alphabet the verdicts can differ: {00, 11, 22} frames
     under unanimity (disagreeing positions free every symbol) but not under
     coordinate sets (the third symbol never appears in the coalition)."""
-    code = Code.from_strings(["00", "11", "22"], s=3)
+    code = parse_code("00\n11\n22")
     assert not is_frameproof(code, 2, UNA).is_frameproof
     assert is_frameproof(code, 2, CRD).is_frameproof
 
@@ -331,7 +331,7 @@ def test_identity_concat_shape_properties(m, ones, zeros, copies):
 
 
 def test_parse_format_roundtrip():
-    code = Code.from_strings(["0011", "0110", "1100"])
+    code = parse_code("0011\n0110\n1100")
     assert parse_code(format_code(code)) == code
     gamma = construct_identity_concat(3, 29, 26, 3)
     assert parse_code(format_code(gamma)) == gamma
@@ -348,8 +348,6 @@ def test_parse_errors_carry_line_numbers():
         parse_code("0011\n0110\n01\n")
     with pytest.raises(CodeFormatError, match="line 2"):
         parse_code("01\n0x\n")
-    with pytest.raises(CodeFormatError, match="line 2"):
-        parse_code("01\n02\n", s=2)
     with pytest.raises(CodeFormatError):
         parse_code("# nothing\n")
     with pytest.raises(CodeFormatError):
@@ -361,13 +359,12 @@ def test_parse_errors_carry_line_numbers():
         st.text(),
         st.text(alphabet="0123456789abcdefABCDEFgx #\t\r\n", max_size=120),
     ),
-    st.one_of(st.none(), st.integers(2, 16)),
 )
 @settings(max_examples=600, deadline=None)
-def test_parse_code_raises_only_format_errors(text, s):
+def test_parse_code_raises_only_format_errors(text):
     """Arbitrary text either parses or is refused with CodeFormatError."""
     try:
-        parse_code(text, s)
+        parse_code(text)
     except CodeFormatError:
         pass
 

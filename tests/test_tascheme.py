@@ -28,6 +28,7 @@ from tests import helpers
 from tests.helpers import (
     planted_overlap_scheme,
     sample_traceability_reference,
+    structural_disjoint_reference,
     traceable_exact_reference,
 )
 
@@ -132,21 +133,27 @@ def test_exact_over_budget_raises_budget_exceeded():
     """Refused up front when the pair tests alone pass the budget, and
     stopped mid-search when the count vectors do.  The up-front count stops
     at the first coalition size that passes the budget: at c = 15000 it is
-    15000 * 14999 + C(15000, 2) * 14998, not a sum over 15000 sizes."""
-    triangle_pairs = 3 * 2 + 3 * 1
+    C(15000, 2) * 14998, not a sum over 15000 sizes."""
+    triangle_pairs = 3 * 1
     for scheme, c, budget, message in (
         (make_disjoint_scheme(2000, 2000, 1), 2, DEFAULT_STEP_BUDGET,
-         "exact verification needs ~3998000000 steps, budget is 1000000000"),
+         "exact verification needs ~3994002000 steps, budget is 1000000000"),
         (make_disjoint_scheme(15000, 15000, 1), 15000, DEFAULT_STEP_BUDGET,
-         "exact verification needs ~1687387500000 steps, budget is 1000000000"),
+         "exact verification needs ~1687162515000 steps, budget is 1000000000"),
         (triangle(), 2, triangle_pairs - 1,
-         "exact verification needs ~9 steps, budget is 8"),
+         "exact verification needs ~3 steps, budget is 2"),
         (triangle(), 2, triangle_pairs,
-         "exact verification ran past its budget of 9 steps"),
+         "exact verification ran past its budget of 3 steps"),
     ):
         with pytest.raises(BudgetExceededError) as refused:
             is_traceable_exact(scheme, c, budget=budget)
         assert str(refused.value) == message
+
+
+def test_lone_members_take_no_steps():
+    """A lone member's only pirate is its own key set, which no other
+    decoder holds, so c = 1 walks no coalition and needs no budget."""
+    assert is_traceable_exact(triangle(), 1, budget=0).verdict.is_true
 
 
 def test_exact_disjoint_256_8_32_c4_certified_true():
@@ -204,6 +211,32 @@ def test_structural_rejects_shared_key():
     shared = KeyScheme(4, (frozenset({0, 1}), frozenset({1, 2})))
     with pytest.raises(DomainError, match="share"):
         is_traceable_structural_disjoint(shared, 2)
+
+
+@st.composite
+def disjoint_schemes(draw):
+    """(scheme, c): n pairwise-disjoint k-subsets of n*k <= 12 keys, in
+    shuffled order."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12 // k))
+    keys = draw(st.permutations(range(n * k)))
+    scheme = KeyScheme(n * k, tuple(frozenset(keys[i * k:(i + 1) * k]) for i in range(n)))
+    return scheme, draw(st.integers(1, n))
+
+
+@given(st.one_of(small_schemes(), disjoint_schemes()))
+@settings(max_examples=400, deadline=None)
+def test_structural_matches_reference(case):
+    """One pass over the keys certifies what the pairwise loop certifies,
+    and refuses with its first shared pair and key."""
+    scheme, c = case
+    outcomes = []
+    for verify in (is_traceable_structural_disjoint, structural_disjoint_reference):
+        try:
+            outcomes.append(verify(scheme, c))
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_structural_agrees_with_exact_on_small_disjoint_grid():
@@ -476,6 +509,9 @@ def test_parse_errors():
         parse_scheme("3 2 2\n0 1\n")
     with pytest.raises(SchemeFormatError, match="line 2"):
         parse_scheme("3 1 2\nx y\n")
+    # a few bytes asking for 20 key masks of 2^24 bits, more than 2^28 in all
+    with pytest.raises(SchemeFormatError, match="line 1: n\\*l = 335544320 key-mask bits"):
+        parse_scheme("16777216 20 1\n" + "".join(f"{i}\n" for i in range(20)))
 
 
 @given(
