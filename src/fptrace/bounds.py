@@ -30,6 +30,8 @@ from .rigor import (
     DomainError,
     Enclosure,
     DEFAULT_PRECISION_BITS,
+    Rational,
+    _as_fraction,
     binom,
     certainty_all,
     certify_less,
@@ -89,7 +91,7 @@ class Thm6Params:
     w: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
+        object.__setattr__(self, "sigma", _as_fraction(self.sigma))
         _validate_common(self.q, self.delta, self.c, self.sigma, self.l)
         if self.w < 1:
             raise DomainError("w must be >= 1")
@@ -111,7 +113,7 @@ class Thm7Params:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
+        object.__setattr__(self, "sigma", _as_fraction(self.sigma))
         _validate_common(self.q, self.delta, self.c, self.sigma, self.l)
         if self.k < 1:
             raise DomainError("k must be >= 1")
@@ -122,20 +124,16 @@ class Thm7Params:
 
 
 def sigma_constraint(
-    l: int, sigma: Union[int, Fraction, str], precision_bits: int = DEFAULT_PRECISION_BITS
+    l: int, sigma: Rational, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Certainty:
     """Certify log2(l)/l < sigma and l > (13 + sqrt(169 + 48*sigma))/(12*sigma);
     the second as t > 0 and t^2 > 169 + 48*sigma with t = 12*sigma*l - 13."""
-    sigma = Fraction(sigma)
+    sigma = _as_fraction(sigma)
     if sigma <= 0:
         raise DomainError("sigma must be positive")
     if l < 1:
         raise DomainError("l must be >= 1")
-    first = certify_less(
-        lambda bits: log2_enclosure(l, bits),
-        lambda bits: Enclosure.point(sigma * l),
-        precision_bits,
-    )
+    first = certify_less(lambda bits: log2_enclosure(l, bits), sigma * l, precision_bits)
     t = 12 * sigma * l - 13
     second = t > 0 and t * t > 169 + 48 * sigma
     return certainty_all(first, Certainty.true() if second else Certainty.false())

@@ -136,6 +136,8 @@ def _load(spec: str, table: dict, parse, format_error: type, kind: str):
         return table[spec]()
     path = Path(spec)
     if path.exists():
+        if not path.is_file():  # a FIFO or device could block or never end
+            raise CliError(f"{spec}: not a regular file")
         try:
             return parse(_read_input(spec, path))
         except format_error as exc:

@@ -146,9 +146,7 @@ def delta_window_for_length(
     def make_upper(bits: int) -> Enclosure:
         return _window_upper(a, length, bits)
 
-    exists = certify_less(
-        lambda bits: Enclosure.point(d_min), make_upper, precision_bits, or_equal=True
-    )
+    exists = certify_less(d_min, make_upper, precision_bits, or_equal=True)
     return DeltaWindow(
         w=w,
         a=a,
@@ -240,10 +238,7 @@ def either_or_classify(
     left = lower < delta
 
     right_cert = certify_less(
-        lambda bits: Enclosure.point(delta),
-        lambda bits: window_upper(w, a, bits),
-        precision_bits,
-        or_equal=True,
+        delta, lambda bits: window_upper(w, a, bits), precision_bits, or_equal=True
     )
     if right_cert.is_unresolved:
         raise UnresolvedComparisonError(
@@ -265,17 +260,21 @@ def either_or_classify(
 # ---------------------------------------------------------------------------
 
 
+def _cap_logs(a: int, precision_bits: int) -> Tuple[Enclosure, Enclosure]:
+    """log2 e and log2 a at ``precision_bits + 4``, the inputs of every
+    analytic cap below, for a >= 2."""
+    if a < 2:
+        raise DomainError("a must be >= 2")
+    return log2_e_enclosure(precision_bits + 4), log2_enclosure(a, precision_bits + 4)
+
+
 def unit_weight_bound(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     """Analytic cap on the w = 1 window upper: (1 + (log2 e - 1)/log2 a)/2.
 
     Follows from H(1/a) <= (log2 a + log2 e)/a; decreasing in a, and already
     below 1 at a = 2, where it is log2(e)/2.
     """
-    if a < 2:
-        raise DomainError("a must be >= 2")
-    inner = precision_bits + 4
-    le = log2_e_enclosure(inner)
-    la = log2_enclosure(a, inner)
+    le, la = _cap_logs(a, precision_bits)
     return ((le - 1) / la + 1) * Fraction(1, 2)
 
 
@@ -285,11 +284,7 @@ def weight_two_margin(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> E
     Positive only for a < 19; its sign change between 18 and 19 is the
     boundary of the weight-two family's survivable range.
     """
-    if a < 2:
-        raise DomainError("a must be >= 2")
-    inner = precision_bits + 4
-    le = log2_e_enclosure(inner)
-    la = log2_enclosure(a, inner)
+    le, la = _cap_logs(a, precision_bits)
     return (le - 2) / (la + 1) + Fraction(2, a)
 
 
@@ -300,16 +295,15 @@ def entropy_log_bound_check(a: int, precision_bits: int = DEFAULT_PRECISION_BITS
     with x = 1/(a - 1), and ln(1 + x) < x gives (1 - 1/a)*log2(1 + x) <
     (1 - 1/a)*x*log2(e) = log2(e)/a.  So callers certify it at a = 2 only.
     """
-    if a < 2:
-        raise DomainError("a must be >= 2")
-
-    def make_h(bits: int) -> Enclosure:
-        return entropy_enclosure(Fraction(1, a), bits)
 
     def make_cap(bits: int) -> Enclosure:
-        return (log2_enclosure(a, bits + 4) + log2_e_enclosure(bits + 4)) / a
+        le, la = _cap_logs(a, bits)
+        return (la + le) / a
 
-    return certify_less(make_h, make_cap, precision_bits)
+    make_cap(precision_bits)  # refuses a < 2 before H(1/a) is formed
+    return certify_less(
+        lambda bits: entropy_enclosure(Fraction(1, a), bits), make_cap, precision_bits
+    )
 
 
 @dataclass(frozen=True)
@@ -378,19 +372,15 @@ class CasesReport:
 
     @property
     def all_certified(self) -> bool:
+        """Every Certainty field of the four cases is a premise."""
+        premises = (
+            value
+            for case in vars(self).values()
+            for value in vars(case).values()
+            if isinstance(value, Certainty)
+        )
         return (
-            certainty_all(
-                self.unit_weight.windows_upper_lt_1,
-                self.unit_weight.analytic_bound_lt_1,
-                self.unit_weight.analytic_bound_decreasing,
-                self.weight_two.signs_resolved,
-                self.weight_two.sign_change_at_19,
-                self.weight_two.windows_empty,
-                self.weight_two.uppers_lt_1_through_18,
-                self.coalition_two.uppers_lt_1_on_positive,
-                self.coalition_two.f_decreasing,
-                self.finite_pairs.f_negative,
-            ).is_true
+            certainty_all(*premises).is_true
             and self.weight_two.lowers_lt_1
             and self.weight_two.positive_as == tuple(range(2, 19))
             and self.coalition_two.positive_ws == (2, 3)
@@ -413,11 +403,8 @@ def verify_cases(
     if c_probe_max < MIN_SCAN_C:
         raise DomainError(f"case analysis needs c_probe_max >= {MIN_SCAN_C}")
 
-    def below(make_a, bound: Rational) -> Certainty:
-        return certify_less(make_a, lambda bits: Enclosure.point(bound), precision_bits)
-
-    def above(bound: Rational, make_b) -> Certainty:
-        return certify_less(lambda bits: Enclosure.point(bound), make_b, precision_bits)
+    def less(a, b) -> Certainty:
+        return certify_less(a, b, precision_bits)
 
     entropy_cap = entropy_log_bound_check(2, precision_bits)
 
@@ -426,8 +413,8 @@ def verify_cases(
     # which is unit_weight_bound(a) = (1 + (log2 e - 1)/log2 a)/2.  That bound
     # decreases in a exactly when log2 e > 1, so its value at a = 2 caps it
     # for every a.
-    log2e_gt_1 = above(1, log2_e_enclosure)
-    bound_lt_1 = certainty_all(below(lambda bits: unit_weight_bound(2, bits), 1), log2e_gt_1)
+    log2e_gt_1 = less(1, log2_e_enclosure)
+    bound_lt_1 = certainty_all(less(lambda bits: unit_weight_bound(2, bits), 1), log2e_gt_1)
     case_a = CaseUnitWeight(
         probe_max=c_probe_max,
         windows_upper_lt_1=certainty_all(entropy_cap, bound_lt_1),
@@ -443,14 +430,12 @@ def verify_cases(
     # covers every a >= 19, where f < 0 empties the window.  Below 19 the
     # margin is positive, and the window upper is certified below 1 instead.
     signs = {
-        a: above(0, lambda bits, a=a: weight_two_margin(a, bits)) for a in range(2, 19)
+        a: less(0, lambda bits, a=a: weight_two_margin(a, bits)) for a in range(2, 19)
     }
-    sign_19 = below(lambda bits: weight_two_margin(19, bits), 0)
-    margins_negative_from_19 = certainty_all(
-        sign_19, below(log2_e_enclosure, Fraction(3, 2))
-    )
+    sign_19 = less(lambda bits: weight_two_margin(19, bits), 0)
+    margins_negative_from_19 = certainty_all(sign_19, less(log2_e_enclosure, Fraction(3, 2)))
     uppers_b = certainty_all(
-        *(below(lambda bits, a=a: window_upper(2, a, bits), 1) for a in range(2, 19))
+        *(less(lambda bits, a=a: window_upper(2, a, bits), 1) for a in range(2, 19))
     )
     case_b = CaseWeightTwo(
         probe_max=c_probe_max,
@@ -473,22 +458,20 @@ def verify_cases(
     # w >= 2; so f falls by more than 1/4 per unit step.  The signs at
     # w = 2, 3, 4 (f(4, 2) = -1/3) then decide every w >= 2: a w whose sign
     # is not certified negative counts as positive.
-    signs_c = {w: above(0, lambda bits, w=w: f_value(w, 2, bits)) for w in (2, 3, 4)}
+    signs_c = {w: less(0, lambda bits, w=w: f_value(w, 2, bits)) for w in (2, 3, 4)}
     positive_ws = tuple(w for w, sign in signs_c.items() if not sign.is_false)
     case_c = CaseCoalitionTwo(
         probe_max=c_probe_max,
         positive_ws=positive_ws,
         f_at_positive=tuple((w, f_value(w, 2, precision_bits)) for w in positive_ws),
         uppers_lt_1_on_positive=certainty_all(
-            *(below(lambda bits, w=w: window_upper(w, 2, bits), 1) for w in positive_ws)
+            *(less(lambda bits, w=w: window_upper(w, 2, bits), 1) for w in positive_ws)
         ),
         f_decreasing=log2e_gt_1,
     )
 
     # (d) finite pairs
-    neg_certs = [
-        below(lambda bits, w=w, a=a: f_value(w, a, bits), 0) for w, a in FINITE_PAIRS
-    ]
+    neg_certs = [less(lambda bits, w=w, a=a: f_value(w, a, bits), 0) for w, a in FINITE_PAIRS]
     case_d = CaseFinitePairs(pairs=FINITE_PAIRS, f_negative=certainty_all(*neg_certs))
 
     return CasesReport(case_a, case_b, case_c, case_d)
@@ -569,11 +552,7 @@ def _either_or_exhibits(w_max: int, c_max: int, precision_bits: int):
 def _positive_f_exhibits(pairs, precision_bits):
     out = []
     for w, a in pairs:
-        sign = certify_less(
-            lambda bits: Enclosure.point(0),
-            lambda bits, w=w, a=a: f_value(w, a, bits),
-            precision_bits,
-        )
+        sign = certify_less(0, lambda bits, w=w, a=a: f_value(w, a, bits), precision_bits)
         win = delta_window(w, a, precision_bits)
         if sign.is_true and win.integer_exists.is_false:
             out.append((w, a))
@@ -605,11 +584,7 @@ def scan_infeasibility(
     # the entropy cap holds for every a >= 2 (see entropy_log_bound_check),
     # so one certified instance stands for the whole grid
     entropy_grid = entropy_log_bound_check(2, precision_bits)
-    log2e_lt_2 = certify_less(
-        lambda bits: log2_e_enclosure(bits),
-        lambda bits: Enclosure.point(2),
-        precision_bits,
-    )
+    log2e_lt_2 = certify_less(log2_e_enclosure, 2, precision_bits)
 
     if mode is ScanMode.THM10:
         tags = candidate_filter(w_max, c_max)
@@ -708,10 +683,8 @@ class CollapseReport:
 
 def weight_log_cap(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     """Enclosure of (log2 e - 1 - log2 a)/2, the certified cap on log2(w)."""
-    if a < 2:
-        raise DomainError("a must be >= 2")
-    inner = precision_bits + 4
-    return (log2_e_enclosure(inner) - 1 - log2_enclosure(a, inner)) * Fraction(1, 2)
+    le, la = _cap_logs(a, precision_bits)
+    return (le - 1 - la) * Fraction(1, 2)
 
 
 def theorem10_statement_collapse(
@@ -724,11 +697,7 @@ def theorem10_statement_collapse(
     """
     return CollapseReport(
         precision_bits=precision_bits,
-        rhs_negative=certify_less(
-            lambda bits: weight_log_cap(2, bits),
-            lambda bits: Enclosure.point(0),
-            precision_bits,
-        ),
+        rhs_negative=certify_less(lambda bits: weight_log_cap(2, bits), 0, precision_bits),
         rhs_at_2=weight_log_cap(2, precision_bits),
         rhs_at_3=weight_log_cap(3, precision_bits),
         entropy_bound=entropy_log_bound_check(2, precision_bits),

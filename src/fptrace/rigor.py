@@ -270,20 +270,14 @@ def decimal_sci(x: Fraction) -> str:
         raise ValueError("expected a nonnegative value")
     if x == 0:
         return "0"
+    # with e = digits(num) - digits(den), 10**(e-1) < x < 10**(e+1)
     e = len(str(x.numerator)) - len(str(x.denominator))
-    while x < Fraction(10) ** e:
+    if x < Fraction(10) ** e:
         e -= 1
-    while x >= Fraction(10) ** (e + 1):
-        e += 1
-    m = x / Fraction(10) ** e  # in [1, 10)
-    n2_num = m * 10
-    n2 = n2_num.numerator // n2_num.denominator
-    if 2 * (n2_num.numerator - n2 * n2_num.denominator) >= n2_num.denominator:
-        n2 += 1
-    if n2 == 100:
-        n2 = 10
-        e += 1
-    return f"{n2 // 10}.{n2 % 10}e{e:+d}"
+    mantissa = decimal_fixed(x / Fraction(10) ** e, 1)  # in [1.0, 10.0]
+    if mantissa == "10.0":
+        mantissa, e = "1.0", e + 1
+    return f"{mantissa}e{e:+d}"
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +311,15 @@ def _scale_ceil(x: Fraction, w: int) -> int:
     return _ceil_div(x.numerator << w, x.denominator)
 
 
-def _ge_pow2(num: int, den: int, e: int) -> bool:
-    """num/den >= 2**e, by exact shifted comparison."""
-    if e >= 0:
-        return num >= (den << e)
-    return (num << -e) >= den
-
-
 def floor_log2(x: Fraction) -> int:
-    """Exact floor of log2 for a positive rational."""
+    """Exact floor of log2 for a positive rational.  With
+    e = bitlen(num) - bitlen(den), 2**(e-1) < x < 2**(e+1), so the floor is
+    e when x >= 2**e, by one exact shifted comparison, and e - 1 otherwise."""
     if x <= 0:
         raise DomainError("floor_log2 requires a positive argument")
     num, den = x.numerator, x.denominator
     e = num.bit_length() - den.bit_length()
-    while not _ge_pow2(num, den, e):
-        e -= 1
-    while _ge_pow2(num, den, e + 1):
-        e += 1
-    return e
+    return e if num << max(-e, 0) >= den << max(e, 0) else e - 1
 
 
 def _atanh_dyadic(z: Fraction, w: int) -> Tuple[int, int]:
@@ -473,13 +458,14 @@ def _log2_e_cached(precision_bits: int) -> Enclosure:
 
 
 def certify_less(
-    make_a: Callable[[int], Enclosure],
-    make_b: Callable[[int], Enclosure],
+    a: Union[Callable[[int], Enclosure], Rational],
+    b: Union[Callable[[int], Enclosure], Rational],
     precision_bits: int = DEFAULT_PRECISION_BITS,
     or_equal: bool = False,
 ) -> Certainty:
-    """Certainty of a < b (a <= b with ``or_equal``) for the values that
-    ``make_a(bits)`` and ``make_b(bits)`` enclose.
+    """Certainty of a < b (a <= b with ``or_equal``).  Each side is a
+    producer, whose ``side(bits)`` encloses its value, or an exact int or
+    Fraction, which is its own point enclosure at every precision.
 
     Doubles the precision from ``precision_bits`` and re-derives both
     enclosures (intersecting with the previous round, so refinement can only
@@ -490,6 +476,9 @@ def certify_less(
     ``or_equal``, when the enclosures touch at that value (an exact point
     equal to an integer).
     """
+    make_a, make_b = (
+        side if callable(side) else (lambda bits, p=Enclosure.point(side): p) for side in (a, b)
+    )
     bits = precision_bits
     a, b = make_a(bits), make_b(bits)
     while True:

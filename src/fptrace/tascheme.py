@@ -23,7 +23,8 @@ vector, and ``BudgetExceededError`` when they pass it.
 
 The sampler applies the same cut to each drawn coalition, and stops once
 every coalition has been drawn without a rival; its draws, and so its seeded
-verdicts, are those of tracing every trial.
+verdicts, are those of tracing every trial.  It shares the step budget too:
+each cut it builds tests all n decoders, one step each.
 """
 
 from __future__ import annotations
@@ -365,7 +366,9 @@ def sample_traceability(
     overlap is always a maximum-overlap decoder, so the witness comes from
     one direct :func:`trace` call, which raises if no outsider ties.
     Sampling can only certify falsehood; with no violation found the
-    verdict stays Unresolved.
+    verdict stays Unresolved.  It builds at most min(trials, coalitions)
+    cuts of n steps each, and raises ``BudgetExceededError`` up front when
+    they pass ``DEFAULT_STEP_BUDGET``.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -385,6 +388,11 @@ def sample_traceability(
         if total > trials:  # at large n and c the full sum takes seconds
             break
     keep = total <= trials
+    steps = min(trials, total) * n
+    if steps > DEFAULT_STEP_BUDGET:
+        raise BudgetExceededError(
+            f"sampling needs ~{steps} steps, budget is {DEFAULT_STEP_BUDGET}"
+        )
     cuts: dict = {}
     for t in range(trials):
         size = rng.randint(2, top)

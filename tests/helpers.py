@@ -439,7 +439,7 @@ def verify_cases_grid_reference(
     upper_certs = [
         certify_less(
             lambda bits, a=a: window_upper(1, a, bits),
-            lambda bits: Enclosure.point(1),
+            1,
             precision_bits,
         )
         for a in grid
@@ -447,7 +447,7 @@ def verify_cases_grid_reference(
     bound_certs = [
         certify_less(
             lambda bits, a=a: unit_weight_bound(a, bits),
-            lambda bits: Enclosure.point(1),
+            1,
             precision_bits,
         )
         for a in grid
@@ -470,7 +470,7 @@ def verify_cases_grid_reference(
     # (b) weight two
     signs = {
         a: certify_less(
-            lambda bits: Enclosure.point(0),
+            0,
             lambda bits, a=a: weight_two_margin(a, bits),
             precision_bits,
         )
@@ -482,7 +482,7 @@ def verify_cases_grid_reference(
     ]
     sign_19 = certify_less(
         lambda bits: weight_two_margin(19, bits),
-        lambda bits: Enclosure.point(0),
+        0,
         precision_bits,
     )
     windows_b = [
@@ -495,7 +495,7 @@ def verify_cases_grid_reference(
     uppers_b = [
         certify_less(
             lambda bits, a=a: window_upper(2, a, bits),
-            lambda bits: Enclosure.point(1),
+            1,
             precision_bits,
         )
         for a in range(2, min(18, c_probe_max) + 1)
@@ -516,7 +516,7 @@ def verify_cases_grid_reference(
     positive_ws = []
     for w in range(2, c_probe_max + 1):
         sign = certify_less(
-            lambda bits: Enclosure.point(0),
+            0,
             lambda bits, w=w: f_value(w, 2, bits),
             precision_bits,
         )
@@ -525,7 +525,7 @@ def verify_cases_grid_reference(
     uppers_c = [
         certify_less(
             lambda bits, w=w: window_upper(w, 2, bits),
-            lambda bits: Enclosure.point(1),
+            1,
             precision_bits,
         )
         for w in positive_ws
@@ -550,7 +550,7 @@ def verify_cases_grid_reference(
     neg_certs = [
         certify_less(
             lambda bits, w=w, a=a: f_value(w, a, bits),
-            lambda bits: Enclosure.point(0),
+            0,
             precision_bits,
         )
         for w, a in FINITE_PAIRS
@@ -575,12 +575,12 @@ def sigma_constraint_reference(
     so a tie on that side stays Unresolved."""
     first = certify_less(
         lambda bits: log2_enclosure(l, bits),
-        lambda bits: Enclosure.point(sigma * l),
+        sigma * l,
         precision_bits,
     )
     second = certify_less(
         lambda bits: (sqrt_bracket(169 + 48 * sigma, bits) + 13) / (12 * sigma),
-        lambda bits: Enclosure.point(l),
+        l,
         precision_bits,
     )
     return certainty_all(first, second)
@@ -605,7 +605,7 @@ def collapse_grid_reference(
     rhs_certs = [
         certify_less(
             lambda bits, a=a: weight_log_cap(a, bits),
-            lambda bits: Enclosure.point(0),
+            0,
             precision_bits,
         )
         for a in probe

@@ -127,6 +127,18 @@ def test_sigma_constraint_rejects_nonpositive():
         sigma_constraint(64, F(0))
 
 
+@pytest.mark.parametrize("sigma", [0.1, "7/64"], ids=["float", "str"])
+def test_inexact_sigma_is_refused(sigma):
+    """A float or string sigma is refused, as by every rigor entry; 0.1
+    would otherwise stand for 3602879701896397/2^55."""
+    with pytest.raises(DomainError):
+        sigma_constraint(64, sigma)
+    with pytest.raises(DomainError):
+        Thm6Params(q=64, delta=3, c=2, sigma=sigma, l=64, w=32)
+    with pytest.raises(DomainError):
+        Thm7Params(q=256, delta=3, c=4, sigma=sigma, l=256, k=32)
+
+
 # ---------------------------------------------------------------------------
 # claimed lower bounds
 # ---------------------------------------------------------------------------

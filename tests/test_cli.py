@@ -112,6 +112,23 @@ def test_directory_input_is_an_error(tmp_path, capsys, command):
     assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
+def test_fifo_input_is_an_error(tmp_path, command):
+    """Reading a FIFO with no writer would block, so the CLI runs in a child
+    with a timeout: a hang fails the test instead of the suite."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    src = str(Path(fptrace.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "fptrace.cli", command, str(fifo), "--c", "2"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"error: {fifo}: not a regular file\n"
+
+
 @pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
 def test_non_utf8_input_is_an_error(tmp_path, capsys, command):
     path = tmp_path / "latin1.txt"

@@ -232,25 +232,13 @@ def test_certify_refinement_escalates():
     # log2(3) = 1.5849625... vs 317/200 = 1.585: the 3.7e-5 gap needs ~15
     # bits, forcing escalation from the 1-bit start precision
     target = F(317, 200)
-    cert = certify_less(
-        lambda bits: log2_enclosure(3, bits),
-        lambda bits: Enclosure.point(target),
-        precision_bits=1,
-    )
+    cert = certify_less(lambda bits: log2_enclosure(3, bits), target, precision_bits=1)
     assert cert.is_true
-    assert certify_less(
-        lambda bits: Enclosure.point(target),
-        lambda bits: log2_enclosure(3, bits),
-        precision_bits=1,
-    ).is_false
+    assert certify_less(target, lambda bits: log2_enclosure(3, bits), precision_bits=1).is_false
 
 
 def test_certify_equal_values_unresolved_with_cap():
-    cert = certify_less(
-        lambda b: Enclosure.point(7),
-        lambda b: Enclosure.point(7),
-        precision_bits=64,
-    )
+    cert = certify_less(7, 7, precision_bits=64)
     assert cert.is_unresolved and cert.precision_bits == 4096
 
 
@@ -273,10 +261,39 @@ def test_certify_int_le_boundaries():
     def int_le(n, make):
         return certify_less(const(Enclosure.point(n)), make, or_equal=True)
 
-    assert int_le(1, lambda b: Enclosure.point(1)).is_true
-    assert int_le(1, lambda b: Enclosure.point(F(1, 2))).is_false
+    assert int_le(1, 1).is_true
+    assert int_le(1, F(1, 2)).is_false
     assert int_le(2, lambda b: log2_enclosure(5, b)).is_true
     assert int_le(3, lambda b: log2_enclosure(5, b)).is_false
+
+
+def test_certify_exact_side_first():
+    assert certify_less(1, log2_e_enclosure).is_true
+    assert certify_less(F(3, 2), log2_e_enclosure).is_false
+    assert certify_less(2, lambda bits: log2_enclosure(5, bits), precision_bits=1).is_true
+
+
+def test_certify_exact_side_second():
+    assert certify_less(log2_e_enclosure, 2).is_true
+    assert certify_less(log2_e_enclosure, F(7, 5)).is_false
+    assert certify_less(lambda bits: log2_enclosure(3, bits), F(8, 5), precision_bits=1).is_true
+
+
+def test_certify_or_equal_touches_at_an_exact_integer():
+    assert certify_less(3, lambda bits: log2_enclosure(8, bits), or_equal=True).is_true
+    assert certify_less(lambda bits: log2_enclosure(8, bits), 3, or_equal=True).is_true
+    assert certify_less(3, 3, or_equal=True).is_true
+    assert certify_less(3, lambda bits: log2_enclosure(8, bits)).is_unresolved
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.5, log2_e_enclosure),
+    (log2_e_enclosure, 2.0),
+    (1, 1.5),
+], ids=["float-first", "float-second", "both-exact"])
+def test_certify_refuses_a_float_side(a, b):
+    with pytest.raises(DomainError):
+        certify_less(a, b)
 
 
 def test_certainty_all():

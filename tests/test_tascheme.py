@@ -420,6 +420,16 @@ def test_sampling_draw_counts(monkeypatch):
         )
 
 
+def test_sampling_over_budget_is_refused_up_front(monkeypatch):
+    """Each cut tests all n decoders: 200 trials at c = 4 on 8 decoders build
+    at most min(200, 154 coalitions) cuts, 1,232 steps."""
+    monkeypatch.setattr(tascheme, "DEFAULT_STEP_BUDGET", 1000)
+    with pytest.raises(BudgetExceededError, match=r"^sampling needs ~1232 steps, budget is 1000$"):
+        sample_traceability(make_disjoint_scheme(256, 8, 32), 4, 200, 42)
+    monkeypatch.setattr(tascheme, "DEFAULT_STEP_BUDGET", 1232)
+    assert sample_traceability(make_disjoint_scheme(256, 8, 32), 4, 200, 42).verdict.is_unresolved
+
+
 def test_sampling_zero_trials_unresolved():
     assert sample_traceability(triangle(), 2, 0, 9).verdict.is_unresolved
 
