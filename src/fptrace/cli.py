@@ -255,11 +255,12 @@ def _params_echo(params) -> str:
 def cmd_bounds(args) -> int:
     sigma = _parse_rational(args.sigma)
     if args.which == "thm6":
-        if args.l % args.c != 0:
+        if args.c >= 2 and args.l % args.c != 0:
             raise CliError(f"the relation c = l/w needs c | l, got l={args.l}, c={args.c}")
+        # Thm6Params refuses c < 2 before it reads w
         params = bounds_mod.Thm6Params(
             q=args.q, delta=args.delta, c=args.c, sigma=sigma,
-            l=args.l, w=args.l // args.c,
+            l=args.l, w=args.l // args.c if args.c >= 2 else 0,
         )
         rep = bounds_mod.contradiction_report_thm6(params, args.s, args.precision_bits)
     else:

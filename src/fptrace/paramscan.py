@@ -9,8 +9,8 @@ delta > 0 inside the half-open window
 
 The left inequality is what guarantees frame-proofness of the constructed
 code; the right inequality is what guarantees the codeword count exceeds
-2^(l/a).  This module certifies, with enclosure arithmetic, that the window
-never contains a positive integer:
+2^(l/a).  This module certifies, by enclosure arithmetic and exact integer
+tests, that the window never contains a positive integer:
 
 * the candidates are computed from a formula rather than by testing every
   grid point: the families w = 1, w = 2, a = 2 plus the five
@@ -47,6 +47,7 @@ from .rigor import (
     certainty_all,
     certify_less,
     entropy_enclosure,
+    floor_log2,
     log2_e_enclosure,
     log2_enclosure,
 )
@@ -88,6 +89,7 @@ class EitherOr(Enum):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
 def sigma_construction(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     """Enclosure of the recipe's sigma, (H(1/a) - 1/a)/2; exact 1/4 at a = 2."""
     if a < 2:
@@ -98,6 +100,11 @@ def sigma_construction(a: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
 def window_lower(w: int, a: int) -> Fraction:
     """Exact left end of the window: (1 - 1/a)*w - 1."""
     return Fraction(a - 1, a) * w - 1
+
+
+def _d_min(w: int, a: int) -> int:
+    """Smallest integer above the window's lower end, and at least 1."""
+    return max((a - 1) * w // a, 1)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -140,8 +147,7 @@ def delta_window_for_length(
         raise DomainError("a must be >= 2")
     length = Fraction(length)
     lower = window_lower(w, a)
-    # smallest integer strictly above the exact lower end, at least 1
-    d_min = max(math.floor(lower) + 1, 1)
+    d_min = _d_min(w, a)
 
     def make_upper(bits: int) -> Enclosure:
         return _window_upper(a, length, bits)
@@ -194,7 +200,7 @@ def classify_pair(w: int, a: int) -> CaseTag:
         return CaseTag.B_W2
     if a == 2:
         return CaseTag.C_C2
-    if Fraction(1, w) + Fraction(1, a) > Fraction(1, 2):
+    if 2 * (w + a) > w * a:  # 1/w + 1/a > 1/2
         return CaseTag.D_FINITE_PAIR
     return CaseTag.EXCLUDED
 
@@ -559,6 +565,19 @@ def _positive_f_exhibits(pairs, precision_bits):
     return tuple(out)
 
 
+def _bracket_empty(w: int, a: int, length: Rational) -> bool:
+    """Whether one integer comparison proves the window holds no integer.
+
+    k = floor(log2(length**16)) > 0 gives log2(length) >= k/16 > 0, and s, the
+    hi end of sigma's 64-bit enclosure, is >= sigma.  So the upper end
+    sigma*length/log2(length) is <= 16*s*length/k if s > 0, and <= 0 if
+    s <= 0; either way 16*s*length < d_min*k (d_min >= 1) proves it < d_min.
+    """
+    k, s = floor_log2(length**16), sigma_construction(a, DEFAULT_PRECISION_BITS).hi
+    bound = _d_min(w, a) * k * s.denominator * length.denominator
+    return k > 0 and 16 * s.numerator * length.numerator < bound
+
+
 def scan_infeasibility(
     w_max: int,
     c_max: int,
@@ -567,10 +586,11 @@ def scan_infeasibility(
 ) -> ScanReport:
     """Certify that no scanned parameter combination admits the integer.
 
-    Both modes supply data to one window loop: rows (w, a, c, tag), length
-    readings (name, scale of w*a), an excluded count, a case report and tail
-    notes.  THM10's rows are the closed-form candidates with a = c, under
-    l = w*a; THM11's are every pair with a = c*c, c in [2, floor(sqrt(c_max))],
+    Both modes feed one window loop: rows (w, a, c, tag), length readings
+    (name, scale of w*a), an excluded count, a case report and tail notes;
+    an excluded row's window is first tried by :func:`_bracket_empty`.
+    THM10's rows are the closed-form candidates with a = c, under l = w*a;
+    THM11's are every pair with a = c*c, c in [2, floor(sqrt(c_max))],
     under l = w*a and l = w*a/2 (from the key-count relation c^2 = 2l/k).
     """
     if not isinstance(mode, ScanMode):
@@ -618,7 +638,10 @@ def scan_infeasibility(
     candidates, unresolved, feasible_found = [], [], []
     for w, a, c, tag in rows:
         for reading, scale in readings:
-            win = delta_window_for_length(w, a, scale * w * a, precision_bits)
+            length = scale * w * a
+            if tag is CaseTag.EXCLUDED and _bracket_empty(w, a, length):
+                continue  # proven empty; no enclosure needed
+            win = delta_window_for_length(w, a, length, precision_bits)
             if tag is not CaseTag.EXCLUDED:
                 candidates.append(CandidateWindow(w, a, c, reading, tag, win))
             if win.integer_exists.is_true:

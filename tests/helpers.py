@@ -18,7 +18,9 @@ root of the radical side by an integer-root bracket and compares it by
 certified enclosures, where the library decides that side in exact
 rationals.  The case-analysis and collapse references
 certify every grid point that the library's base points and monotonicity
-lemmas stand for.  The rejected bound variant lives here because only its
+lemmas stand for.  The scan reference sends every window, excluded ones
+included, through the enclosure path that the library's integer bracket
+skips.  The rejected bound variant lives here because only its
 test uses it.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt, prod
 from typing import Iterable, Optional, Sequence, Tuple
@@ -46,11 +48,16 @@ from fptrace.paramscan import (
     CaseTag,
     CaseUnitWeight,
     CaseWeightTwo,
+    CandidateWindow,
     CollapseReport,
+    ScanMode,
+    ScanReport,
     classify_pair,
     delta_window,
+    delta_window_for_length,
     entropy_log_bound_check,
     f_value,
+    scan_infeasibility,
     unit_weight_bound,
     weight_log_cap,
     weight_two_margin,
@@ -622,4 +629,52 @@ def collapse_grid_reference(
             "because log2 is strictly increasing, so its certified "
             "negativity at a = 2 extends to every a >= 2"
         ),
+    )
+
+
+def scan_reference(
+    w_max: int, c_max: int, mode: ScanMode, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> ScanReport:
+    """Slow reference for ``scan_infeasibility``'s window loop: every window
+    goes through ``delta_window_for_length``, with no integer bracket.  The
+    fields outside the loop (cases, exhibits, premises, notes) are the
+    library report's."""
+    report = scan_infeasibility(w_max, c_max, mode, precision_bits)
+    if mode is ScanMode.THM10:
+        tags = candidate_filter_reference(w_max, c_max)
+        rows = [(w, a, a, tags[w, a]) for w, a in sorted(tags, key=lambda p: (p[1], p[0]))]
+        readings = (("direct", 1),)
+    else:
+        rows = [
+            (w, c * c, c, classify_pair(w, c * c))
+            for c in range(2, isqrt(c_max) + 1)
+            for w in range(1, w_max + 1)
+        ]
+        readings = (("direct", 1), ("half_length", Fraction(1, 2)))
+    candidates, unresolved, feasible = [], [], False
+    for w, a, c, tag in rows:
+        for reading, scale in readings:
+            win = delta_window_for_length(w, a, scale * w * a, precision_bits)
+            if tag is not CaseTag.EXCLUDED:
+                candidates.append(CandidateWindow(w, a, c, reading, tag, win))
+            feasible |= win.integer_exists.is_true
+            if win.integer_exists.is_unresolved:
+                unresolved.append((w, a))
+    premises = (
+        (report.cases is None or report.cases.all_certified)
+        and report.entropy_bound_on_grid.is_true
+        and report.log2e_below_2.is_true
+    )
+    if feasible:
+        verdict = Certainty.false()
+    elif unresolved or not premises:
+        verdict = Certainty.unresolved(precision_bits)
+    else:
+        verdict = Certainty.true()
+    return replace(
+        report,
+        candidates=tuple(candidates),
+        windows_checked=len(rows) * len(readings),
+        unresolved=tuple(unresolved),
+        verdict=verdict,
     )

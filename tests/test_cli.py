@@ -220,6 +220,18 @@ def test_bounds_rejects_relation_violation(capsys):
     assert code == 1 and "c | l" in err
 
 
+@pytest.mark.parametrize("which, extra", [("thm6", ()), ("thm7", ("--k", "32"))])
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_bounds_rejects_c_below_two(capsys, which, extra, c):
+    """c = 0 is refused like any c < 2, before thm6's c | l test divides by it."""
+    code, out, err = run(
+        capsys,
+        "bounds", which, "--q", "64", "--delta", "3", "--c", c,
+        "--sigma", "7/64", "--l", "64", *extra,
+    )
+    assert (code, out, err) == (1, "", "error: c must be >= 2\n")
+
+
 def test_bounds_bad_sigma_string(capsys):
     code, out, err = run(
         capsys,

@@ -34,6 +34,7 @@ from fptrace.rigor import DomainError, Enclosure, certify_less
 from tests.helpers import (
     candidate_filter_reference,
     collapse_grid_reference,
+    scan_reference,
     verify_cases_grid_reference,
 )
 
@@ -164,6 +165,19 @@ def test_candidate_filter_matches_grid_enumeration(w_max, c_max):
     )
 
 
+def test_classify_pair_integer_test_is_the_fraction_inequality():
+    for w in range(3, 200):
+        for a in range(3, 200):
+            finite = F(1, w) + F(1, a) > F(1, 2)
+            assert (classify_pair(w, a) is CaseTag.D_FINITE_PAIR) == finite, (w, a)
+
+
+def test_d_min_is_the_smallest_integer_above_the_lower_end():
+    for w in range(1, 200):
+        for a in range(2, 200):
+            assert paramscan._d_min(w, a) == max(math.floor(window_lower(w, a)) + 1, 1), (w, a)
+
+
 def test_filter_soundness_excluded_pairs_have_nonpositive_f():
     for w in range(1, 17):
         for a in range(2, 17):
@@ -209,6 +223,21 @@ def test_case_reports_certify():
     assert rep.weight_two.positive_as == tuple(range(2, 19))
     assert rep.coalition_two.positive_ws == (2, 3)
     assert rep.finite_pairs.pairs == FINITE_PAIRS
+    assert rep.weight_two.margin_at_18.lo > 0
+    assert rep.weight_two.margin_at_19.hi < 0
+
+
+def test_weight_two_premise_at_19_is_a_negative_margin(monkeypatch):
+    """The a = 19 premise compares the margin with 0: a margin lifted into
+    (0, 1) there must break the sign change and the whole case report."""
+    margin = paramscan.weight_two_margin
+    monkeypatch.setattr(
+        paramscan, "weight_two_margin",
+        lambda a, bits=64: margin(a, bits) + (F(1, 2) if a == 19 else 0),
+    )
+    rep = verify_cases(19)
+    assert rep.weight_two.sign_change_at_19.is_false
+    assert not rep.all_certified
 
 
 def test_case_boundary_values():
@@ -298,6 +327,60 @@ def test_scan_thm11_both_readings():
     assert readings == {"direct", "half_length"}
     assert {r.a for r in rep.candidates} <= {c * c for c in range(2, 9)}
     assert all(r.window.integer_exists.is_false for r in rep.candidates)
+
+
+@pytest.mark.parametrize("mode", list(ScanMode))
+@pytest.mark.parametrize("w_max, c_max", [(5, 19), (64, 64), (40, 144)])
+@pytest.mark.parametrize("bits", [2, 64, 256])
+def test_scan_matches_enclosure_reference(mode, w_max, c_max, bits):
+    """Deciding excluded windows by the integer bracket gives the report
+    of enclosing every window, field for field."""
+    assert scan_infeasibility(w_max, c_max, mode, bits) == scan_reference(w_max, c_max, mode, bits)
+
+
+def test_bracket_decides_every_excluded_thm11_window_in_cli_range():
+    """c <= 32 and w <= 1024, both length readings: the CLI's extents."""
+    undecided = [
+        (w, c, scale)
+        for c in range(2, 33)
+        for w in range(1, 1025)
+        if classify_pair(w, c * c) is CaseTag.EXCLUDED
+        for scale in (1, F(1, 2))
+        if not paramscan._bracket_empty(w, c * c, scale * w * c * c)
+    ]
+    assert undecided == []
+
+
+@given(
+    st.integers(1, 1024),
+    st.integers(2, 1024),
+    st.one_of(st.integers(1, 64), st.integers(1, 2**20)),
+)
+@settings(max_examples=300, deadline=None)
+def test_bracket_never_empties_a_window_that_holds_an_integer(w, a, m):
+    """Lengths m*w*a reach windows that hold integers, and m <= 64 keeps
+    many near the edge where the upper end passes d_min; wherever the
+    bracket says empty, the enclosure path must not find an integer."""
+    length = m * w * a
+    if paramscan._bracket_empty(w, a, length):
+        assert not delta_window_for_length(w, a, length).integer_exists.is_true
+
+
+@given(st.integers(1, 1024), st.integers(2, 1024))
+@settings(max_examples=100, deadline=None)
+def test_bracket_keeps_the_first_length_whose_window_holds_an_integer(w, a):
+    """The integer length L at which the window first holds an integer, found
+    by bisection on the enclosure path, is where a bracket that claims too
+    much would first be wrong.  The upper end sigma*L/log2(L) grows from
+    L = 4, where it is at most 1/2, below every d_min."""
+    lo, hi = 4, 1 << 40  # empty at lo, holds an integer at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if delta_window_for_length(w, a, mid).integer_exists.is_true:
+            hi = mid
+        else:
+            lo = mid
+    assert not paramscan._bracket_empty(w, a, hi)
 
 
 def test_scan_reduced_grid_same_verdict():

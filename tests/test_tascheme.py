@@ -150,6 +150,19 @@ def test_exact_over_budget_raises_budget_exceeded():
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("scheme, verdict", [
+    (triangle(), "CertifiedFalse"),
+    (keyed(4, {0, 3}, {1, 3}, {2, 3}), "CertifiedTrue"),
+])
+def test_exact_budget_equal_to_the_steps_taken_suffices(scheme, verdict):
+    """At c = 2 each scheme takes exactly 6 steps, 3 pair tests and 3 count
+    vectors: a budget of 6 decides it, and 5 stops the search mid-way."""
+    assert str(is_traceable_exact(scheme, 2, budget=6).verdict) == verdict
+    with pytest.raises(BudgetExceededError) as refused:
+        is_traceable_exact(scheme, 2, budget=5)
+    assert str(refused.value) == "exact verification ran past its budget of 5 steps"
+
+
 def test_lone_members_take_no_steps():
     """A lone member's only pirate is its own key set, which no other
     decoder holds, so c = 1 walks no coalition and needs no budget."""
