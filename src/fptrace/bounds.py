@@ -93,9 +93,9 @@ class Thm6Params:
     def __post_init__(self):
         object.__setattr__(self, "sigma", _as_fraction(self.sigma))
         _validate_common(self.q, self.delta, self.c, self.sigma, self.l)
-        if self.w < 1:
-            raise DomainError("w must be >= 1")
-        if self.c * self.w != self.l:
+        if self.l % self.c:
+            raise DomainError(f"the relation c = l/w needs c | l, got l={self.l}, c={self.c}")
+        if self.c * self.w != self.l:  # also refuses w < 1, since l >= 1
             raise DomainError(
                 f"the relation c = l/w fails: {self.c} * {self.w} != {self.l}"
             )
@@ -203,7 +203,7 @@ class BoundReport:
     """Side-by-side certified comparison of a claimed lower bound and a
     proven upper bound, in log2 space."""
 
-    theorem: str
+    which: str
     params: Union[Thm6Params, Thm7Params]
     lower_log2: Enclosure
     upper_log2: Enclosure
@@ -236,7 +236,7 @@ def contradiction_report_thm7(
 
 
 def _contradiction_report(
-    theorem: str,
+    which: str,
     p: Union[Thm6Params, Thm7Params],
     lower: Callable[..., Enclosure],
     upper_exact: Fraction,
@@ -253,7 +253,7 @@ def _contradiction_report(
         return log2_enclosure(upper_exact, bits)
 
     return BoundReport(
-        theorem=theorem,
+        which=which,
         params=p,
         lower_log2=make_lower(precision_bits),
         upper_log2=make_upper(precision_bits),

@@ -212,7 +212,7 @@ def cmd_verify_ta(args) -> int:
         "k": scheme.k,
         "c": args.c,
         "method": method,
-        **_jsonable(verdict),
+        **vars(verdict),
     }
     wit = verdict.witness
     _emit(report, lambda: [
@@ -229,7 +229,7 @@ def cmd_verify_ta(args) -> int:
 
 def _bound_report_lines(rep) -> list:
     lines = [
-        f"command: bounds {rep.theorem}",
+        f"command: bounds {rep.which}",
         f"params: {_params_echo(rep.params)}",
         f"sigma constraint: {rep.sigma_certainty}  (sigma_ok: {str(rep.sigma_ok).lower()})",
         _enc_line("claimed lower bound, log2", rep.lower_log2),
@@ -255,12 +255,10 @@ def _params_echo(params) -> str:
 def cmd_bounds(args) -> int:
     sigma = _parse_rational(args.sigma)
     if args.which == "thm6":
-        if args.c >= 2 and args.l % args.c != 0:
-            raise CliError(f"the relation c = l/w needs c | l, got l={args.l}, c={args.c}")
-        # Thm6Params refuses c < 2 before it reads w
+        # Thm6Params refuses c < 2, and c not dividing l, before it reads w
         params = bounds_mod.Thm6Params(
             q=args.q, delta=args.delta, c=args.c, sigma=sigma,
-            l=args.l, w=args.l // args.c if args.c >= 2 else 0,
+            l=args.l, w=args.l // args.c if args.c >= 1 else 0,
         )
         rep = bounds_mod.contradiction_report_thm6(params, args.s, args.precision_bits)
     else:
@@ -273,16 +271,9 @@ def cmd_bounds(args) -> int:
         rep = bounds_mod.contradiction_report_thm7(params, args.precision_bits)
     report = {
         "command": "bounds",
-        "which": rep.theorem,
-        "params": rep.params,
         "precision_bits": args.precision_bits,
         "sigma_ok": rep.sigma_ok,
-        "sigma_certainty": rep.sigma_certainty,
-        "lower_log2": rep.lower_log2,
-        "upper_exact": rep.upper_exact,
-        "upper_log2": rep.upper_log2,
-        "sw_detail": rep.sw_detail,
-        "contradiction": rep.contradiction,
+        **vars(rep),
     }
     _emit(report, lambda: _bound_report_lines(rep), args.format)
     return 0
@@ -332,7 +323,7 @@ def _scan_lines(rep) -> list:
             f"  (a) w=1: window upper < 1 on grid: {ca.windows_upper_lt_1}; "
             f"analytic cap < 1: {ca.analytic_bound_lt_1}, decreasing: {ca.analytic_bound_decreasing}",
             f"  (b) w=2: margin positive exactly for a in [2, 18]: "
-            f"{'yes' if cb.positive_as == tuple(range(2, 19)) else 'NO'}; "
+            f"{'yes' if cb.positive_exactly_through_18 else 'NO'}; "
             f"sign change at 19: {cb.sign_change_at_19}; windows empty: {cb.windows_empty}",
             f"  (c) a=2: f positive exactly for w in {list(cc.positive_ws)}; "
             f"uppers < 1 there: {cc.uppers_lt_1_on_positive}; f decreasing: {cc.f_decreasing}",
@@ -358,7 +349,7 @@ def cmd_scan(args) -> int:
     )
     report = {
         "command": "scan",
-        **_jsonable(rep),
+        **vars(rep),
         "certified_infeasible": rep.certified_infeasible,
     }
     _emit(report, lambda: _scan_lines(rep), args.format)

@@ -30,12 +30,12 @@ Words are tuples of symbols with position 0 leftmost in the textual format.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-# BudgetExceededError is raised through coalitions; callers catch it from here.
-from .rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError, coalitions  # noqa: F401
+from .rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError, coalitions
 
 Word = Tuple[int, ...]
 
@@ -199,10 +199,17 @@ def min_distance(code: Code) -> int:
     """Exact minimum pairwise Hamming distance; needs n >= 2.
 
     On one-hot packed words a differing position sets exactly two bits of
-    the XOR, so the distance is half its popcount.
+    the XOR, so the distance is half its popcount.  Each of the C(n, 2)
+    pairs is one step of the shared budget, refused up front with
+    ``BudgetExceededError`` when they pass ``DEFAULT_STEP_BUDGET``.
     """
     if code.n < 2:
         raise DomainError("minimum distance needs at least two codewords")
+    steps = math.comb(code.n, 2)
+    if steps > DEFAULT_STEP_BUDGET:
+        raise BudgetExceededError(
+            f"minimum distance needs ~{steps} steps, budget is {DEFAULT_STEP_BUDGET}"
+        )
     keys = _one_hot_keys(code)
     return min((u ^ v).bit_count() for u, v in itertools.combinations(keys, 2)) // 2
 

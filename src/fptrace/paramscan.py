@@ -347,6 +347,11 @@ class CaseWeightTwo:
     uppers_lt_1_through_18: Certainty
     lowers_lt_1: bool
 
+    @property
+    def positive_exactly_through_18(self) -> bool:
+        """The margin is positive exactly for a in [2, 18]."""
+        return self.positive_as == tuple(range(2, 19))
+
 
 @dataclass(frozen=True)
 class CaseCoalitionTwo:
@@ -388,7 +393,7 @@ class CasesReport:
         return (
             certainty_all(*premises).is_true
             and self.weight_two.lowers_lt_1
-            and self.weight_two.positive_as == tuple(range(2, 19))
+            and self.weight_two.positive_exactly_through_18
             and self.coalition_two.positive_ws == (2, 3)
         )
 
@@ -555,9 +560,9 @@ def _either_or_exhibits(w_max: int, c_max: int, precision_bits: int):
     return tuple(out)
 
 
-def _positive_f_exhibits(pairs, precision_bits):
+def _positive_f_exhibits(precision_bits):
     out = []
-    for w, a in pairs:
+    for w, a in ((2, 2), (3, 2)):
         sign = certify_less(0, lambda bits, w=w, a=a: f_value(w, a, bits), precision_bits)
         win = delta_window(w, a, precision_bits)
         if sign.is_true and win.integer_exists.is_false:
@@ -669,7 +674,7 @@ def scan_infeasibility(
         log2e_below_2=log2e_lt_2,
         cases=cases,
         either_or_exhibits=_either_or_exhibits(w_max, c_max, precision_bits),
-        positive_f_empty_windows=_positive_f_exhibits(((2, 2), (3, 2)), precision_bits),
+        positive_f_empty_windows=_positive_f_exhibits(precision_bits),
         unresolved=tuple(unresolved),
         tail_notes=tail_notes,
         verdict=verdict,

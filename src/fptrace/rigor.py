@@ -200,9 +200,6 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def intersects(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def intersect(self, other: "Enclosure") -> "Enclosure":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         if lo > hi:

@@ -90,16 +90,7 @@ class KeyScheme:
 
     @cached_property
     def _masks(self) -> Tuple[int, ...]:
-        out = []
-        for d in self.decoders:
-            m = 0
-            for key in d:
-                m |= 1 << key
-            out.append(m)
-        return tuple(out)
-
-    def decoder_lists(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple(sorted(d)) for d in self.decoders)
+        return tuple(_key_mask(d) for d in self.decoders)
 
     def __repr__(self) -> str:
         return f"KeyScheme(l={self.l}, n={self.n}, k={self.k})"
@@ -125,15 +116,22 @@ class TAVerdict:
     detail: str = ""
 
 
-def _pirate_mask(scheme: KeyScheme, pirate: Iterable[int]) -> int:
+def _key_mask(keys: Iterable[int]) -> int:
+    """The int whose bit ``key`` is set for each key."""
     mask = 0
+    for key in keys:
+        mask |= 1 << key
+    return mask
+
+
+def _pirate_mask(scheme: KeyScheme, pirate: Iterable[int]) -> int:
+    pirate = tuple(pirate)
     for key in pirate:
         if not 0 <= key < scheme.l:
             raise DomainError(f"pirate key {key} outside [0, {scheme.l - 1}]")
-        mask |= 1 << key
-    if mask == 0:
+    if not pirate:
         raise DomainError("pirate key set must be nonempty")
-    return mask
+    return _key_mask(pirate)
 
 
 def trace(scheme: KeyScheme, pirate: Iterable[int]) -> TraceResult:
@@ -408,9 +406,7 @@ def sample_traceability(
         drawn = rng.sample(keys, k)
         if not rivals:
             continue
-        pmask = 0
-        for key in drawn:
-            pmask |= 1 << key
+        pmask = _key_mask(drawn)
         best = max((pmask & masks[i]).bit_count() for i in coalition)
         if all((pmask & masks[u]).bit_count() < best for u in rivals):
             continue
@@ -488,5 +484,5 @@ def format_scheme(scheme: KeyScheme) -> str:
     """Inverse of :func:`parse_scheme`."""
     lines = [f"# scheme: l={scheme.l} n={scheme.n} k={scheme.k}"]
     lines.append(f"{scheme.l} {scheme.n} {scheme.k}")
-    lines.extend(" ".join(str(key) for key in d) for d in scheme.decoder_lists())
+    lines.extend(" ".join(str(key) for key in sorted(d)) for d in scheme.decoders)
     return "\n".join(lines) + "\n"

@@ -9,9 +9,10 @@ library's integer mask tests.  The minimum-distance and candidate-filter
 references are the symbol-by-symbol loop and the full grid enumeration that
 the library's packed-word and closed-form versions replaced, and the exact
 traceability reference enumerates every pirate instead of searching count
-vectors per (coalition, outsider) pair.  The structural reference
-intersects every pair of decoders instead of mapping each key to its
-owners.  The sampling reference traces every drawn pirate instead of only
+vectors per (coalition, outsider) pair.  The pack reference tries every
+count vector that the pair search's pruned fill would cut.  The structural
+reference intersects every pair of decoders instead of mapping each key to
+its owners.  The sampling reference traces every drawn pirate instead of only
 those a rival can tie, and both find the violating outsider by scanning
 :func:`trace`'s argmax themselves.  The sigma reference encloses the square
 root of the radical side by an integer-root bracket and compares it by
@@ -315,6 +316,19 @@ def outside_argmax(scheme: KeyScheme, coalition: Tuple[int, ...], pirate) -> Opt
         if i not in coalition:
             return i
     return None
+
+
+def pack_reference(classes, caps: Tuple[int, ...], want: int) -> bool:
+    """Slow reference for ``_PairSearch._pack``: whether some count vector,
+    at most ``size`` keys from each (member positions, size) class, sums to
+    ``want`` with member position p in at most ``caps[p]`` chosen keys."""
+    for counts in itertools.product(*(range(size + 1) for _, size in classes)):
+        if sum(counts) == want and all(
+            sum(x for (sig, _), x in zip(classes, counts) if p in sig) <= cap
+            for p, cap in enumerate(caps)
+        ):
+            return True
+    return False
 
 
 def traceable_exact_reference(

@@ -1,10 +1,13 @@
 """Certified bound evaluation and the two contradiction reproductions."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fptrace.bounds import (
     Thm6Params,
@@ -18,7 +21,9 @@ from fptrace.bounds import (
     thm6_lower,
     thm7_lower,
 )
+from fptrace.fpcode import Code, FeasibleDefinition, is_frameproof
 from fptrace.rigor import DomainError, log2_enclosure
+from fptrace.tascheme import KeyScheme, is_traceable_exact
 
 from tests.helpers import rejected_upper_bound_variant, sigma_constraint_reference
 
@@ -314,3 +319,56 @@ def test_params_validation():
         Thm6Params(q=64, delta=0, c=2, sigma=F(7, 64), l=64, w=32)
     with pytest.raises(DomainError):
         Thm6Params(q=64, delta=3, c=2, sigma=F(0), l=64, w=32)
+
+
+# ---------------------------------------------------------------------------
+# the proven upper bounds as oracles for the verifiers
+# ---------------------------------------------------------------------------
+#
+# Each verifier has a differential test against its own slow reference, so a
+# misreading that both share would pass there.  The published bounds do not
+# share it.  Both tests take c >= 2: at c = 1 frame-proofness is vacuous, so
+# all s^l words would pass, one more than the bound s^l - 1.
+
+
+@st.composite
+def dense_schemes(draw):
+    """(scheme, c): up to 10 distinct k-subsets of l <= 8 keys at c = 2 or 3,
+    dense enough that many lie above the decoder-count bound."""
+    l = draw(st.integers(2, 8))
+    k = draw(st.integers(1, l))
+    combos = list(itertools.combinations(range(l), k))
+    picks = draw(st.lists(
+        st.integers(0, len(combos) - 1), min_size=1, max_size=min(10, len(combos)), unique=True,
+    ))
+    return KeyScheme(l, tuple(frozenset(combos[i]) for i in picks)), draw(st.integers(2, 3))
+
+
+@given(dense_schemes())
+@settings(max_examples=300, deadline=None)
+def test_certified_traceable_schemes_obey_the_decoder_count_bound(case):
+    """Stinson-Wei: a c-traceable scheme has n <= C(l, t)/C(k-1, t-1), t = ceil(k/c)."""
+    scheme, c = case
+    if is_traceable_exact(scheme, c).verdict.is_true:
+        assert scheme.n <= sw_upper_bound(scheme.l, scheme.k, c).value
+
+
+@st.composite
+def dense_codes(draw):
+    """(code, c): up to 12 distinct words of length <= 6 over 2 or 3
+    symbols at c = 2 or 3, dense enough that many lie above the
+    codeword-count bound."""
+    s = draw(st.integers(2, 3))
+    word = st.tuples(*[st.integers(0, s - 1)] * draw(st.integers(1, 6)))
+    words = draw(st.lists(word, min_size=1, max_size=12, unique=True))
+    return Code(tuple(words), s), draw(st.integers(2, 3))
+
+
+@given(dense_codes())
+@settings(max_examples=300, deadline=None)
+def test_certified_frameproof_codes_obey_the_codeword_count_bound(case):
+    """A c-frame-proof code, under either definition, has n <= c*(s^ceil(l/c) - 1)."""
+    code, c = case
+    for definition in FeasibleDefinition:
+        if is_frameproof(code, c, definition).is_frameproof:
+            assert code.n <= ssw_upper(code.length, c, code.s)

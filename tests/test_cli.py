@@ -1,5 +1,7 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fptrace
-from fptrace import cli, fixtures
+from fptrace import cli, fixtures, fpcode
 from fptrace.fpcode import parse_code
 from fptrace.tascheme import format_scheme, make_disjoint_scheme, parse_scheme
 
@@ -89,6 +93,18 @@ def test_exact_verification_over_budget_is_an_error(tmp_path, capsys, argv, text
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 1 and out == ""
     assert err == f"error: exact verification needs ~{steps} steps, budget is 1000000000\n"
+
+
+def test_min_distance_over_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    """At c = 1 no coalition is walked, so the minimum distance's C(n, 2)
+    pairs are the only work the budget sees: 40 words take 780 steps."""
+    path = tmp_path / "code.txt"
+    path.write_text("".join(f"{i:06b}\n" for i in range(40)))
+    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 780)
+    assert run_json(capsys, "verify-fp", str(path), "--c", "1")["min_distance"] == 1
+    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 779)
+    code, out, err = run(capsys, "verify-fp", str(path), "--c", "1")
+    assert (code, out, err) == (1, "", "error: minimum distance needs ~780 steps, budget is 779\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -393,6 +409,175 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify-fp"])  # missing --c
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz
+# ---------------------------------------------------------------------------
+
+
+def _values(*values) -> st.SearchStrategy:
+    return st.sampled_from([str(v) for v in values])
+
+
+# Valid values per flag.  The bounds calls are whole, since their flags
+# must satisfy q's and the theorems' relations together.
+_VALID = {
+    "verify-fp": {"--c": _values(1, 2, 3), "--definition": _values("unanimity", "coordset")},
+    "verify-ta": {
+        "--c": _values(1, 2, 3, 4),
+        "--method": _values("exact", "structural", "sample"),
+        "--trials": _values(0, 1, 200, 1000000),
+        "--seed": _values(0, 1, 42),
+    },
+    "scan": {
+        "--mode": _values("thm10", "thm11"),
+        "--wmax": _values(5, 6, 64),
+        "--cmax": _values(19, 20, 64),
+        "--precision-bits": _values(1, 2, 64, 128),
+    },
+    "entropy": {"--precision-bits": _values(1, 64, 4096)},
+    "fixtures": {},
+}
+_VALID_BOUNDS = (
+    ("thm6", "--q", "64", "--delta", "3", "--c", "2", "--sigma", "7/64", "--l", "64"),
+    ("thm6", "--q", "256", "--delta", "1", "--c", "4", "--sigma", "1/4", "--l", "256", "--s", "16"),
+    ("thm6", "--q", "4", "--delta", "1", "--c", "4", "--sigma", "9/16", "--l", "4"),
+    ("thm7", "--q", "256", "--delta", "3", "--c", "4", "--sigma", "9/256", "--l", "256",
+     "--k", "32"),
+    ("thm7", "--q", "64", "--delta", "2", "--c", "2", "--sigma", "1/2", "--l", "64", "--k", "32"),
+)
+
+# Boundary values per flag: 0, +-1, its bounds and their neighbours, a huge
+# integer, Unicode digits (U+0661, U+0662 and U+0664 are ARABIC-INDIC DIGIT
+# ONE, TWO and FOUR) and choices the flag does not offer.  Left out to keep
+# the test to a few seconds, not because they fail: 4096-bit scans (about
+# 4 s each), --cmax 1023 and 1024 (about 0.4 s per THM10 scan), --wmax 1023,
+# and a valid thm6 call at l = 2^18 (up to 1 s with a large --s).
+_RATIONALS = _values("0", "-1", "1", "1/0", "0/5", "2/4", "1/3", "0.25", "1e-3",
+                     "\u0661/\u0664", "1/1" + "0" * 4290, "seven")
+_PRECISION = _values(-1, 0, 1, 2, 64, 4096, 4097)
+_BOUNDARY = {
+    "verify-fp": {
+        "--c": _values(-1, 0, 1, 2, 10**30, "\u0662"),
+        "--definition": _values("unanimity", "coordset", "both"),
+    },
+    "verify-ta": {
+        "--c": _values(-1, 0, 1, 2, 10**30, "\u0662"),
+        "--method": _values("exact", "structural", "sample", "all"),
+        "--trials": _values(-1, 0, 1, 999999, 1000000, 1000001, "\u0662"),
+        "--seed": _values(-1, 0, 1, 2**64),
+    },
+    "bounds": {
+        "--q": _values(-1, 0, 1, 2, 6, 2**32, 2**32 + 1, "\u0662"),
+        "--delta": _values(-1, 0, 1, 2, 262143, 262144, 262145),
+        "--c": _values(-1, 0, 1, 2, 3, 10**30),
+        "--sigma": _RATIONALS,
+        "--l": _values(-1, 0, 1, 2, 262143, 262144, 262145),
+        "--k": _values(-1, 0, 1, 32),
+        "--s": _values(1, 2, 3, 15, 16, 17),
+        "--precision-bits": _PRECISION,
+    },
+    "scan": {
+        "--mode": _values("thm10", "thm11", "thm12"),
+        "--wmax": _values(-1, 0, 4, 5, 6, 1024, 1025),
+        "--cmax": _values(-1, 0, 18, 19, 20, 1025),
+        "--precision-bits": _values(-1, 0, 1, 2, 64, 65, 4097),
+    },
+    "entropy": {"--precision-bits": _PRECISION},
+    "fixtures": {},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Input specs per command: the valid ones (fixtures, a small code, a
+    small scheme), and any of them or a missing path, or a file that is
+    empty, not UTF-8, a directory, or a scheme header asking for more than
+    2^28 key-mask bits."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "empty.txt": b"",
+        "latin1.txt": b"0011\n\xe9\n",
+        "code.txt": b"0011\n0110\n1100\n",
+        "scheme.txt": b"4 3 2\n0 1\n1 2\n0 3\n",
+        "header.txt": ("16777216 20 1\n" + "".join(f"{i}\n" for i in range(20))).encode(),
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    (root / "dir").mkdir()
+    paths = [str(root / name) for name in (*files, "dir", "missing.txt")]
+    return {
+        "verify-fp": st.sampled_from([*fixtures.CODES, paths[2]]),
+        "verify-ta": st.sampled_from([*fixtures.SCHEMES, paths[3]]),
+        "any": st.sampled_from([*fixtures.fixture_names(), *paths]),
+    }
+
+
+@st.composite
+def fuzz_argvs(draw, inputs):
+    """A call over the whole grammar and its variants.  The call is a
+    command with valid values (or an invalid positional); the variants set
+    each flag in turn, then all of them at once, to a drawn boundary value,
+    drop one flag, and add a flag the command does not take."""
+    command = draw(st.sampled_from(sorted(_BOUNDARY)))
+    if command == "bounds":
+        which, *pairs = draw(st.sampled_from(_VALID_BOUNDS))
+        positionals = [draw(st.sampled_from([which] * 9 + ["thm8"]))]
+        flags = dict(zip(pairs[::2], pairs[1::2]))
+    else:
+        if command in ("verify-fp", "verify-ta"):
+            positionals = [draw(st.one_of(inputs[command], inputs["any"]))]
+        elif command == "entropy":
+            positionals = [draw(_RATIONALS)]
+        elif command == "fixtures":
+            positionals = draw(st.sampled_from(
+                [["list"], ["emit"], ["emit", "nope"], ["show"]]
+                + [["emit", name] for name in fixtures.fixture_names()]
+            ))
+        else:
+            positionals = []
+        # --c is the one required flag outside bounds
+        flags = {
+            flag: draw(values) for flag, values in _VALID[command].items()
+            if flag == "--c" or draw(st.booleans())
+        }
+    boundary = {flag: draw(values) for flag, values in _BOUNDARY[command].items()}
+    variants = [flags, {**flags, **boundary}, *({**flags, flag: v} for flag, v in boundary.items())]
+    if flags:
+        dropped = draw(st.sampled_from(sorted(flags)))
+        variants.append({flag: v for flag, v in flags.items() if flag != dropped})
+    stray = draw(st.sampled_from([["--precision-bits", "64"], ["--k", "1"], ["--bogus"]]))
+    fmt = draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+    argvs = [[command, *positionals, *(x for pair in v.items() for x in pair)] for v in variants]
+    argvs.append(argvs[0] + stray)
+    return [argv + fmt for i, argv in enumerate(argvs) if argv not in argvs[:i]]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_argv_exits_cleanly(fuzz_inputs, data):
+    """``main`` returns 0 or 1, or argparse exits 2.  Exit 1 writes one
+    stderr line, starting ``error: ``, and nothing to stdout.  Exit 0 writes
+    nothing to stderr, and under ``--format json`` one JSON object with its
+    schema, except ``fixtures emit``, which prints the fixture file whatever
+    the format (ROADMAP item 4).  Nothing else may escape."""
+    for argv in data.draw(fuzz_argvs(fuzz_inputs)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exited:
+                assert exited.code == 2, argv
+                continue
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1), argv
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", argv
+            if argv[-2:] == ["--format", "json"] and argv[:2] != ["fixtures", "emit"]:
+                assert "schema" in json.loads(out), argv
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fptrace import fpcode
 from fptrace.fpcode import (
     BudgetExceededError,
     Code,
@@ -233,6 +234,18 @@ def test_min_distance_and_weights():
     assert weight_set(g) == {2}
     with pytest.raises(DomainError):
         min_distance(parse_code("01"))
+
+
+def test_min_distance_over_budget_is_refused_up_front(monkeypatch):
+    """One step per pair of codewords: 40 words take C(40, 2) = 780 steps."""
+    code = parse_code("".join(f"{i:06b}\n" for i in range(40)))
+    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 780)
+    assert min_distance(code) == 1
+    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 779)
+    with pytest.raises(
+        BudgetExceededError, match=r"^minimum distance needs ~780 steps, budget is 779$"
+    ):
+        min_distance(code)
 
 
 # ---------------------------------------------------------------------------

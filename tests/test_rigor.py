@@ -100,7 +100,7 @@ def test_log2_soundness_mass_sample():
                 # monotone refinement: narrower, and still overlapping the
                 # previous round (so no certified side can flip)
                 assert enc.width <= prev.width
-                assert enc.intersects(prev)
+                enc.intersect(prev)  # raises on disjoint enclosures
             prev = enc
 
 
@@ -129,7 +129,7 @@ def test_entropy_sixteenth_against_log_oracle():
     enc = entropy_enclosure(F(1, 16), 40)
     assert enc.width <= F(1, 2**40)
     via_log = log2_enclosure(F(16, 15), 44) * F(15, 16) + F(1, 4)
-    assert enc.intersects(via_log)
+    enc.intersect(via_log)  # raises on disjoint enclosures
     assert enc.lo >= F(3372899, 10**7) and enc.hi <= F(3372901, 10**7)
 
 
@@ -145,7 +145,7 @@ def test_entropy_symmetry_intersection():
         x = F(num, 41)
         a = entropy_enclosure(x, 48)
         b = entropy_enclosure(1 - x, 48)
-        assert a.intersects(b)
+        a.intersect(b)  # raises on disjoint enclosures
 
 
 # ---------------------------------------------------------------------------

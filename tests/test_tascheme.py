@@ -26,6 +26,7 @@ from fptrace.tascheme import (
 )
 from tests import helpers
 from tests.helpers import (
+    pack_reference,
     planted_overlap_scheme,
     sample_traceability_reference,
     structural_disjoint_reference,
@@ -207,6 +208,44 @@ def test_exact_matches_reference(case):
     label, witness (coalition, pirate, outsider) and detail."""
     scheme, c = case
     assert is_traceable_exact(scheme, c) == traceable_exact_reference(scheme, c)
+
+
+def pack(classes, caps, want) -> bool:
+    return tascheme._PairSearch((), 0, DEFAULT_STEP_BUDGET, 0)._pack(classes, caps, want)
+
+
+@pytest.mark.parametrize("classes, caps, want, feasible", [
+    # the one packing, (1, 0, 3, 1, 0), takes no key of the second class,
+    # whose room is 1: a fill that steps its count down by two skips 0
+    ([((2,), 1), ((1, 2), 3), ((0, 1), 4), ((0, 2), 2), ((0, 1, 2), 3)], (4, 3, 2), 5, True),
+    # no packing exists; a fill that let a count run down to -1 would give
+    # keys back to a class's members and report one
+    ([((1, 3), 1), ((1, 2), 2), ((0, 3), 4), ((0, 1), 1)], (4, 2, 3, 2), 5, False),
+])
+def test_pack_search_pinned_instances(classes, caps, want, feasible):
+    assert pack_reference(classes, caps, want) is feasible
+    assert pack(classes, caps, want) is feasible
+
+
+@st.composite
+def pack_instances(draw):
+    """(classes, caps, want): up to 5 classes, each a distinct nonempty set
+    of at most 4 member positions with 1 to 4 keys, in any order."""
+    members = draw(st.integers(1, 4))
+    sigs = draw(st.lists(
+        st.sets(st.integers(0, members - 1), min_size=1).map(lambda sig: tuple(sorted(sig))),
+        min_size=1, max_size=5, unique=True,
+    ))
+    classes = [(sig, draw(st.integers(1, 4))) for sig in sigs]
+    caps = tuple(draw(st.lists(st.integers(0, 5), min_size=members, max_size=members)))
+    return classes, caps, draw(st.integers(1, sum(size for _, size in classes)))
+
+
+@given(pack_instances())
+@settings(max_examples=400, deadline=None)
+def test_pack_matches_reference(case):
+    """The pruned fill decides what trying every count vector decides."""
+    assert pack(*case) is pack_reference(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +536,7 @@ def test_permutation_invariance():
 def test_make_disjoint_scheme():
     scheme = make_disjoint_scheme(256, 8, 32)
     assert scheme.l == 256 and scheme.n == 8 and scheme.k == 32
-    assert make_disjoint_scheme(6, 3, 2).decoder_lists() == ((0, 1), (2, 3), (4, 5))
+    assert make_disjoint_scheme(6, 3, 2).decoders == ({0, 1}, {2, 3}, {4, 5})
     with pytest.raises(DomainError):
         make_disjoint_scheme(5, 3, 2)
 
