@@ -11,19 +11,20 @@ strictly below the lower bound's, which is exactly the shape of the
 "upper < lower" refutation: parameters satisfying all stated hypotheses
 whose claimed lower bound exceeds a proven upper bound.
 
-The sigma constraint has two halves.  log2(l)/l < sigma is a certified
-enclosure comparison.  l > (13 + sqrt(169 + 48*sigma))/(12*sigma) is decided
-in exact rationals: with t = 12*sigma*l - 13 it holds exactly when t > 0 and
-t^2 > 169 + 48*sigma, so a tie is CertifiedFalse rather than Unresolved.
+Where the enclosures overlap, one exact comparison of integer powers (a
+power of each bound) decides instead, so a tie is CertifiedFalse.
+Only past ``EXACT_POWER_BITS`` does ``certify_less`` refine the enclosures.
+Both halves of the sigma constraint are decided exactly as well.
 Reports evaluate the bounds even when the constraint fails and flag
 ``sigma_ok`` accordingly so the parameter space can be explored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .rigor import (
     Certainty,
@@ -40,6 +41,9 @@ from .rigor import (
 )
 
 PRIME_POWER_LIMIT = 1 << 32
+# Bits per side of an exact power comparison; at the cap it costs about a
+# climb of the enclosures to 4096 bits, which decide past it.
+EXACT_POWER_BITS = 1 << 20
 
 
 def is_prime_power(q: int) -> bool:
@@ -126,17 +130,27 @@ class Thm7Params:
 def sigma_constraint(
     l: int, sigma: Rational, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Certainty:
-    """Certify log2(l)/l < sigma and l > (13 + sqrt(169 + 48*sigma))/(12*sigma);
-    the second as t > 0 and t^2 > 169 + 48*sigma with t = 12*sigma*l - 13."""
+    """Certify log2(l)/l < sigma and l > (13 + sqrt(169 + 48*sigma))/(12*sigma).
+
+    The first is l^b < 2^(a*l) with sigma = a/b, proved by b*(f+1) <= a*l
+    and refuted by b*f >= a*l, f = floor(log2 l), else compared exactly.  The
+    second is t > 0 and t^2 > 169 + 48*sigma with t = 12*sigma*l - 13."""
     sigma = _as_fraction(sigma)
     if sigma <= 0:
         raise DomainError("sigma must be positive")
     if l < 1:
         raise DomainError("l must be >= 1")
-    first = certify_less(lambda bits: log2_enclosure(l, bits), sigma * l, precision_bits)
+    a, b = sigma.numerator, sigma.denominator
+    f = l.bit_length() - 1
+    if a * l <= b * f or b * (f + 1) <= a * l:  # 2^f <= l < 2^(f+1)
+        first = _certainty(b * f < a * l)
+    else:
+        less = _powers_less([(l, b)], [(2, a * l)])
+        first = _certainty(less) if less is not None else certify_less(
+            lambda bits: log2_enclosure(l, bits), sigma * l, precision_bits)
     t = 12 * sigma * l - 13
     second = t > 0 and t * t > 169 + 48 * sigma
-    return certainty_all(first, Certainty.true() if second else Certainty.false())
+    return certainty_all(first, _certainty(second))
 
 
 def thm6_lower(p: Thm6Params, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
@@ -146,23 +160,19 @@ def thm6_lower(p: Thm6Params, precision_bits: int = DEFAULT_PRECISION_BITS) -> E
     Exact point enclosure when c = 2 and q is a power of two, since
     H(1/2) = 1 is exact.
     """
-    return _lower_log2(p.q, p.delta, Fraction(1, p.c), p.sigma, p.l, precision_bits)
+    return _lower_log2(p, p.c, precision_bits)
 
 
 def thm7_lower(p: Thm7Params, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     """log2 of the claimed traceability lower bound; entropy argument 1/c^2."""
-    return _lower_log2(
-        p.q, p.delta, Fraction(1, p.c * p.c), p.sigma, p.l, precision_bits
-    )
+    return _lower_log2(p, p.c * p.c, precision_bits)
 
 
-def _lower_log2(
-    q: int, delta: int, x: Fraction, sigma: Fraction, l: int, precision_bits: int
-) -> Enclosure:
-    inner = precision_bits + l.bit_length() + delta.bit_length() + 4
-    h = entropy_enclosure(x, inner)
-    lq = log2_enclosure(q, inner)
-    return (h - sigma) * l - lq * (delta - 1)
+def _lower_log2(p: Union[Thm6Params, Thm7Params], m: int, precision_bits: int) -> Enclosure:
+    inner = precision_bits + p.l.bit_length() + p.delta.bit_length() + 4
+    h = entropy_enclosure(Fraction(1, m), inner)
+    lq = log2_enclosure(p.q, inner)
+    return (h - p.sigma) * p.l - lq * (p.delta - 1)
 
 
 def ssw_upper(l: int, c: int, s: int = 2) -> int:
@@ -222,7 +232,7 @@ def contradiction_report_thm6(
 ) -> BoundReport:
     """Certify (or refute) upper < lower for the frame-proof setting."""
     upper = Fraction(ssw_upper(p.l, p.c, s))
-    return _contradiction_report("thm6", p, thm6_lower, upper, precision_bits)
+    return _contradiction_report("thm6", p, p.c, upper, precision_bits)
 
 
 def contradiction_report_thm7(
@@ -231,34 +241,86 @@ def contradiction_report_thm7(
     """Certify (or refute) upper < lower for the traceability setting."""
     sw = sw_upper_bound(p.l, p.k, p.c)
     return _contradiction_report(
-        "thm7", p, thm7_lower, sw.value, precision_bits, sw_detail=sw
+        "thm7", p, p.c * p.c, sw.value, precision_bits, sw_detail=sw
     )
 
 
 def _contradiction_report(
     which: str,
     p: Union[Thm6Params, Thm7Params],
-    lower: Callable[..., Enclosure],
+    m: int,
     upper_exact: Fraction,
     precision_bits: int,
     sw_detail: Optional[SWBoundReport] = None,
 ) -> BoundReport:
-    """The report body both theorems share: ``lower(p, bits)`` against the
-    log2 of the exact upper bound."""
+    """The report body both theorems share: the claimed lower bound, with
+    entropy argument 1/m, against the log2 of the exact upper bound."""
 
     def make_lower(bits: int) -> Enclosure:
-        return lower(p, bits)
+        return _lower_log2(p, m, bits)
 
     def make_upper(bits: int) -> Enclosure:
         return log2_enclosure(upper_exact, bits)
 
+    lower_log2, upper_log2 = make_lower(precision_bits), make_upper(precision_bits)
+    overlap = upper_log2.lo <= lower_log2.hi and lower_log2.lo <= upper_log2.hi
+    contradiction = _contradiction_exact(p, m, upper_exact) if overlap else None
+    if contradiction is None:
+        contradiction = certify_less(make_upper, make_lower, precision_bits)
     return BoundReport(
         which=which,
         params=p,
-        lower_log2=make_lower(precision_bits),
-        upper_log2=make_upper(precision_bits),
+        lower_log2=lower_log2,
+        upper_log2=upper_log2,
         upper_exact=upper_exact,
         sigma_certainty=sigma_constraint(p.l, p.sigma, precision_bits),
-        contradiction=certify_less(make_upper, make_lower, precision_bits),
+        contradiction=contradiction,
         sw_detail=sw_detail,
     )
+
+
+def _contradiction_exact(
+    p: Union[Thm6Params, Thm7Params], m: int, upper: Fraction
+) -> Optional[Certainty]:
+    """upper < q^(1-delta) * 2^((H(1/m) - sigma)*l) exactly, or None past
+    the cap.  With sigma = a/b, N = m*b, upper = u_n/u_d and 2^H(1/m) =
+    m/(m-1)^((m-1)/m), its N-th power is u_n^N (m-1)^(l(m-1)b) 2^(alm)
+    q^((delta-1)mb) < m^(lmb) u_d^N."""
+    a, b = p.sigma.numerator, p.sigma.denominator
+    n = m * b
+    less = _powers_less(
+        [(upper.numerator, n), (m - 1, p.l * (m - 1) * b), (2, a * p.l * m),
+         (p.q, (p.delta - 1) * n)],
+        [(m, p.l * n), (upper.denominator, n)],
+    )
+    return None if less is None else _certainty(less)
+
+
+def _powers_less(
+    left: Sequence[Tuple[int, int]], right: Sequence[Tuple[int, int]]
+) -> Optional[bool]:
+    """Whether prod base^e over ``left`` < over ``right`` (bases >= 1,
+    e >= 0), after dividing every exponent by their gcd; None when a side's
+    sum of e * bit length passes ``EXACT_POWER_BITS``, checked before any
+    power is built."""
+    left, right = ([(base, e) for base, e in side if base > 1 and e] for side in (left, right))
+    g = math.gcd(*(e for _, e in left + right))
+    left, right = ([(base, e // g) for base, e in side] for side in (left, right))
+    sizes = (sum(e * base.bit_length() for base, e in side) for side in (left, right))
+    if max(sizes) > EXACT_POWER_BITS:
+        return None
+
+    def product(factors: Sequence[Tuple[int, int]]) -> int:
+        value, shift = 1, 0
+        for base, e in factors:
+            if base & (base - 1):
+                value *= base**e
+            else:
+                shift += (base.bit_length() - 1) * e
+        return value << shift
+
+    return product(left) < product(right)
+
+
+def _certainty(holds: bool) -> Certainty:
+    return Certainty.true() if holds else Certainty.false()

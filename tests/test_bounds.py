@@ -6,9 +6,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fptrace import bounds
 from fptrace.bounds import (
     Thm6Params,
     Thm7Params,
@@ -20,9 +21,10 @@ from fptrace.bounds import (
     sw_upper_bound,
     thm6_lower,
     thm7_lower,
+    _contradiction_exact,
 )
 from fptrace.fpcode import Code, FeasibleDefinition, is_frameproof
-from fptrace.rigor import DomainError, log2_enclosure
+from fptrace.rigor import DomainError, certify_less, log2_enclosure
 from fptrace.tascheme import KeyScheme, is_traceable_exact
 
 from tests.helpers import rejected_upper_bound_variant, sigma_constraint_reference
@@ -125,6 +127,53 @@ def test_sigma_constraint_matches_enclosure_reference():
             decided += 1
             assert sigma_constraint(l, sigma) == want, (l, sigma)
     assert decided > 2000
+
+
+@pytest.mark.parametrize("k", [3, 4, 10, 18])
+def test_sigma_constraint_log_tie_is_false(k):
+    """log2(l)/l = sigma exactly at l = 2^k, sigma = k/2^k: l^b = 2^(a*l),
+    so the strict inequality fails, which enclosures never certify.  The
+    radical side holds from k = 3 on."""
+    l = 2**k
+    assert sigma_constraint(l, F(k, l)).is_false
+    assert sigma_constraint_reference(l, F(k, l)).is_unresolved
+
+
+def _log_band_pairs(rng, count):
+    """(l, sigma) with f/l < sigma < (f+1)/l, f = floor(log2 l), l not a
+    power of two: the bit-length bracket decides none of them, so each goes
+    to the exact comparison of l^b with 2^(a*l).  Besides uniform draws,
+    sigma*l*b is the integer just below or above b*log2(l)."""
+    for _ in range(count):
+        l = rng.randint(5, 1 << 12)
+        if l & (l - 1) == 0:
+            continue
+        f = l.bit_length() - 1
+        b = rng.randint(2, 2000)
+        yield l, F(rng.randint(b * f + 1, b * (f + 1) - 1), b * l)
+        nearest = math.floor(b * math.log2(l))
+        for num in (nearest, nearest + 1):
+            if b * f < num < b * (f + 1):
+                yield l, F(num, b * l)
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_sigma_constraint_log_band_matches_enclosure_reference(monkeypatch, cap):
+    """Inside the band, the exact comparison gives the reference's label
+    wherever the reference decides; with the size cap at 0 every pair goes
+    to the enclosures, and the verdict is the reference's own."""
+    if cap is not None:
+        monkeypatch.setattr(bounds, "EXACT_POWER_BITS", cap)
+    decided = 0
+    for l, sigma in _log_band_pairs(random.Random(24), 300):
+        want = sigma_constraint_reference(l, sigma)
+        got = sigma_constraint(l, sigma)
+        if cap is not None:
+            assert got == want, (l, sigma)
+        elif not want.is_unresolved:
+            decided += 1
+            assert got == want, (l, sigma)
+    assert cap is not None or decided > 750
 
 
 def test_sigma_constraint_rejects_nonpositive():
@@ -292,13 +341,120 @@ def test_thm7_small_instance_no_contradiction():
 
 
 def test_report_never_certifies_both_directions():
-    from fptrace.rigor import certify_less
-
     for sigma in (F(7, 64), F(1, 2), F(1, 8)):
         p = Thm6Params(q=64, delta=3, c=2, sigma=sigma, l=64, w=32)
         rep = contradiction_report_thm6(p)
         reverse = certify_less(lambda b: rep.lower_log2, lambda b: rep.upper_log2)
         assert not (rep.contradiction.is_true and reverse.is_true)
+
+
+# ---------------------------------------------------------------------------
+# the exact power comparison behind overlapping enclosures
+# ---------------------------------------------------------------------------
+
+PRIME_POWERS_TO_256 = tuple(q for q in range(2, 257) if is_prime_power(q))
+
+
+@st.composite
+def bound_params(draw):
+    """(params, s, m): a valid THM6 (m = c, alphabet s) or THM7 (m = c^2)
+    instance with l <= 128.  Many sit next to a tie, so that enclosures
+    overlap at low precision: sigma rounded from the value at which the two
+    bounds meet, or the THM6 family c = s = 2, q = 2^j, sigma = 1/2 -
+    (1 + (delta-1)j)/l, whose lower bound is exactly 2^(l/2 + 1), 2 above
+    its upper bound."""
+    kind = draw(st.sampled_from(("thm6", "thm7", "near_tie")))
+    delta = draw(st.integers(1, 3))
+    if kind == "near_tie":
+        l = 2 * draw(st.integers(2, 64))
+        j = draw(st.integers((l - 1).bit_length(), 8))
+        sigma = F(1, 2) - F(1 + (delta - 1) * j, l)
+        assume(sigma > 0)
+        return Thm6Params(q=1 << j, delta=delta, c=2, sigma=sigma, l=l, w=l // 2), 2, 2
+    if kind == "thm6":
+        c = draw(st.integers(2, 5))
+        l = c * draw(st.integers(1, 128 // c))
+        s, m = draw(st.integers(2, 3)), c
+        upper = ssw_upper(l, c, s)
+    else:
+        c = draw(st.integers(2, 4))
+        k = draw(st.integers(1, 256 // (c * c)).filter(lambda k: c * c * k % 2 == 0))
+        l, s, m = c * c * k // 2, 2, c * c
+        upper = sw_upper_bound(l, k, c).value
+    q = draw(st.sampled_from([q for q in PRIME_POWERS_TO_256 if q >= l]))
+    h = math.log2(m) - (m - 1) / m * math.log2(m - 1)
+    tie = h - (math.log2(upper) + (delta - 1) * math.log2(q)) / l
+    if tie > 0 and draw(st.booleans()):
+        sigma = max(F(tie).limit_denominator(draw(st.sampled_from((64, 4096)))), F(1, 512))
+    else:
+        sigma = draw(st.fractions(F(1, 64), F(3, 2), max_denominator=512))
+    if kind == "thm6":
+        return Thm6Params(q=q, delta=delta, c=c, sigma=sigma, l=l, w=l // c), s, m
+    return Thm7Params(q=q, delta=delta, c=c, sigma=sigma, l=l, k=k), s, m
+
+
+@given(bound_params(), st.sampled_from((1, 4, 16, 64)))
+@settings(max_examples=300, deadline=None)
+def test_contradiction_matches_escalating_enclosures(case, bits):
+    """Wherever ``certify_less`` decides upper < lower by escalating the
+    enclosures, the report's verdict and the exact power comparison agree
+    with it.  Low starting precisions send many reports to the exact test."""
+    p, s, m = case
+    if isinstance(p, Thm6Params):
+        rep, lower = contradiction_report_thm6(p, s, bits), thm6_lower
+    else:
+        rep, lower = contradiction_report_thm7(p, bits), thm7_lower
+    want = certify_less(
+        lambda b: log2_enclosure(rep.upper_exact, b), lambda b: lower(p, b), bits
+    )
+    if not want.is_unresolved:
+        assert rep.contradiction == want
+        assert _contradiction_exact(p, m, rep.upper_exact) in (want, None)
+
+
+def _near_tie(l: int) -> Thm6Params:
+    """c = 2, delta = 1, q = 2^ceil(log2 l), sigma = 1/2 - 1/l: the claimed
+    lower bound is exactly 2^(l/2 + 1), the upper bound 2^(l/2 + 1) - 2."""
+    return Thm6Params(q=1 << (l - 1).bit_length(), delta=1, c=2,
+                      sigma=F(1, 2) - F(1, l), l=l, w=l // 2)
+
+
+NEAR_TIE_LENGTHS = [4, 6, 130, 4094, 8192, 16384, 16386, 2**17 - 2, 2**18] + sorted(
+    2 * h for h in random.Random(18).sample(range(2, 2**17 + 1), 12)
+)
+
+
+@pytest.mark.parametrize("l", NEAR_TIE_LENGTHS)
+def test_near_tie_family_is_certified(l):
+    """Every near tie up to l = 2^18 is certified, although from l of about
+    2^13 on (l = 10,000 already) enclosures up to 4096 bits no longer
+    separate the bounds.  At l = 16384 the reduced exact test reads
+    U < 2^8193 with U = 2^8193 - 2."""
+    assert contradiction_report_thm6(_near_tie(l)).contradiction.is_true
+
+
+def test_exact_equality_is_certified_false():
+    """Equal sides make the strict upper < lower false.  THM6 at c = 2 and
+    THM7 at c = 2 (m = 4) have rational lower bounds when sigma*l is an
+    integer: 2^(l/2 + 1) for the near tie, and 4^l/(3^(3l/4) 2^(sigma l)
+    q^(delta-1)) for the THM7 instance below."""
+    p = _near_tie(16384)
+    lower = F(1 << 8193)
+    assert _contradiction_exact(p, 2, lower).is_false
+    assert _contradiction_exact(p, 2, lower - 1).is_true
+    p7 = Thm7Params(q=8, delta=2, c=2, sigma=F(1, 2), l=8, k=4)
+    lower7 = F(4**8, 3**6 * 2**4 * 8)
+    assert _contradiction_exact(p7, 4, lower7).is_false
+    assert _contradiction_exact(p7, 4, lower7 - F(1, 10**30)).is_true
+    assert _contradiction_exact(p7, 4, lower7 + F(1, 10**30)).is_false
+
+
+def test_escalation_runs_past_the_exact_cap(monkeypatch):
+    """With the size cap at 0 the exact test gives way to the enclosures,
+    which leave the l = 16384 near tie unresolved at 4096 bits."""
+    monkeypatch.setattr(bounds, "EXACT_POWER_BITS", 0)
+    rep = contradiction_report_thm6(_near_tie(16384))
+    assert str(rep.contradiction) == "Unresolved(precision_bits=4096)"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Golden CLI outputs: every README command, plus a certified-false bound
-report, a bound report left unresolved at 4096 bits, one whose sigma
-constraint is an exact tie, and scans at 1024 and 2 bits, in text and JSON,
-reproduced byte for byte.
+report, a near tie that enclosures leave unresolved at 4096 bits and the
+exact power comparison certifies, one whose sigma constraint is an exact
+tie, and scans at 1024 and 2 bits, in text and JSON, reproduced byte for
+byte.
 
 The files under ``tests/golden/`` are ``<name>.txt`` and ``<name>.json``.
 They were written once, before the certification core was refactored (the
@@ -47,7 +48,8 @@ GOLDEN = {
     # upper > lower: the contradiction is CertifiedFalse
     "bounds_thm6_false": ["bounds", "thm6", "--q", "64", "--delta", "1", "--c", "2",
                           "--sigma", "1/2", "--l", "64"],
-    # log2 of the upper bound is within 2^-4096 of the lower: Unresolved at 4096 bits
+    # log2 of the upper bound is within 2^-4096 of the lower, so enclosures
+    # never separate; the exact power comparison U < 2^8193 certifies it
     "bounds_thm6_near_tie": ["bounds", "thm6", "--q", "16384", "--delta", "1", "--c", "2",
                              "--sigma", "8191/16384", "--l", "16384"],
     # l = (13 + sqrt(169 + 48 sigma))/(12 sigma) exactly: the sigma constraint
