@@ -19,8 +19,8 @@ mask test: under unanimity (and over a binary alphabet, under either
 definition) outsider x is framed iff it matches the first member on every
 position where all members agree; under coordinate sets with s > 2 iff none
 of x's (position, symbol) bits lies outside the members' OR.  That test is
-the step of the shared step budget (``rigor.DEFAULT_STEP_BUDGET``): a check
-whose pair tests exceed it is refused up front with ``BudgetExceededError``.
+the step of the shared step budget, read from ``rigor.DEFAULT_STEP_BUDGET``
+when a check runs: one whose pair tests exceed it is refused up front.
 Verdicts, witnesses and budget refusals are those of a symbol-by-symbol
 membership test on the coalition's per-position feasible symbols, which the
 test suite keeps as the reference.
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, DomainError, coalitions
+# BudgetExceededError is imported for callers that catch it from this module.
+from .rigor import BudgetExceededError, DomainError, coalitions, refuse_over_budget
 
 Word = Tuple[int, ...]
 
@@ -155,15 +156,14 @@ def is_frameproof(
     code: Code,
     c: int,
     definition: FeasibleDefinition = FeasibleDefinition.UNANIMITY,
-    budget: int = DEFAULT_STEP_BUDGET,
 ) -> FrameproofVerdict:
     """Exact verdict: can any coalition of size <= c frame an outside user?
 
-    Coalitions are walked, and over-budget walks refused up front, by
-    :func:`rigor.coalitions`; the first violation found is returned as the
-    witness, with the smallest framed outsider.
+    Coalitions are walked, and walks over ``rigor.DEFAULT_STEP_BUDGET``
+    refused up front, by :func:`rigor.coalitions`; the first violation found
+    is returned as the witness, with the smallest framed outsider.
     """
-    _, walk = coalitions(code.n, c, budget)
+    _, walk = coalitions(code.n, c)
     keys, mask_of = _mask_test(code, definition)
     for coalition in walk:
         mask, target = mask_of(coalition)
@@ -200,16 +200,12 @@ def min_distance(code: Code) -> int:
 
     On one-hot packed words a differing position sets exactly two bits of
     the XOR, so the distance is half its popcount.  Each of the C(n, 2)
-    pairs is one step of the shared budget, refused up front with
-    ``BudgetExceededError`` when they pass ``DEFAULT_STEP_BUDGET``.
+    pairs is one step of the shared budget, refused up front by
+    :func:`rigor.refuse_over_budget`.
     """
     if code.n < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    steps = math.comb(code.n, 2)
-    if steps > DEFAULT_STEP_BUDGET:
-        raise BudgetExceededError(
-            f"minimum distance needs ~{steps} steps, budget is {DEFAULT_STEP_BUDGET}"
-        )
+    refuse_over_budget("minimum distance", math.comb(code.n, 2))
     keys = _one_hot_keys(code)
     return min((u ^ v).bit_count() for u, v in itertools.combinations(keys, 2)) // 2
 

@@ -31,8 +31,8 @@ Rational = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
-# Steps an exact verifier may take: one per (coalition, outsider) pair test,
-# plus one per count vector in the traceability search.
+# Steps a verifier may take: pair tests, count vectors, sampled decoders or
+# codeword pairs.  Every verifier reads this one value when it runs.
 DEFAULT_STEP_BUDGET = 10**9
 
 
@@ -41,10 +41,18 @@ class DomainError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested exact verification exceeds its step budget."""
+    """A verifier's requested work exceeds the step budget."""
 
 
-def coalitions(n: int, c: int, budget: int) -> Tuple[int, Iterator[Tuple[int, ...]]]:
+def refuse_over_budget(what: str, steps: int) -> None:
+    """Refuse ``steps`` past ``DEFAULT_STEP_BUDGET``, read at the call."""
+    if steps > DEFAULT_STEP_BUDGET:
+        raise BudgetExceededError(
+            f"{what} needs ~{steps} steps, budget is {DEFAULT_STEP_BUDGET}"
+        )
+
+
+def coalitions(n: int, c: int) -> Tuple[int, Iterator[Tuple[int, ...]]]:
     """The pair tests an exact verifier makes over n users at coalition
     bound c, and its walk: every coalition of 2 to min(c, n) users, ascending
     in size and lexicographic within a size.
@@ -53,8 +61,8 @@ def coalitions(n: int, c: int, budget: int) -> Tuple[int, Iterator[Tuple[int, ..
     codeword, and its only pirate is its own key set; codewords and decoders
     are distinct, so no outsider is framed or ties the trace.  A step is one
     (coalition, outsider) pair test, C(n, j) * (n - j) for size j; before any
-    test, ``BudgetExceededError`` refuses a walk whose steps pass ``budget``,
-    naming the sum through the first size that passes it.
+    test, :func:`refuse_over_budget` refuses a walk whose steps pass the
+    step budget, naming the sum through the first size that passes it.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -62,10 +70,7 @@ def coalitions(n: int, c: int, budget: int) -> Tuple[int, Iterator[Tuple[int, ..
     steps = 0
     for j in sizes:
         steps += math.comb(n, j) * (n - j)
-        if steps > budget:
-            raise BudgetExceededError(
-                f"exact verification needs ~{steps} steps, budget is {budget}"
-            )
+        refuse_over_budget("exact verification", steps)
     walk = itertools.chain.from_iterable(itertools.combinations(range(n), j) for j in sizes)
     return steps, walk
 

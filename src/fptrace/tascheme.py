@@ -17,9 +17,9 @@ sharing fewer than ceil(k/|C|) keys with the coalition's union; for the rest,
 each overlap depends only on how many keys the pirate takes from each
 signature class (the members holding a key, and whether the outsider does),
 so count vectors over at most 2(2^|C| - 1) classes replace the C(|union|, k)
-pirates.  The exact search shares the frame-proof verifier's step budget
-(``rigor.DEFAULT_STEP_BUDGET``): one step per pair test, plus one per count
-vector, and ``BudgetExceededError`` when they pass it.
+pirates.  The exact search shares the frame-proof verifier's step budget,
+read from ``rigor.DEFAULT_STEP_BUDGET`` when it runs: one step per pair
+test, plus one per count vector, and ``BudgetExceededError`` past it.
 
 The sampler applies the same cut to each drawn coalition, and stops once
 every coalition has been drawn without a rival; its draws, and so its seeded
@@ -35,13 +35,8 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Tuple
 
-from .rigor import (
-    DEFAULT_STEP_BUDGET,
-    BudgetExceededError,
-    Certainty,
-    DomainError,
-    coalitions,
-)
+from . import rigor
+from .rigor import BudgetExceededError, Certainty, DomainError, coalitions, refuse_over_budget
 
 
 # Each decoder is held as an l-bit key mask, so a file may ask for at most
@@ -179,9 +174,7 @@ def _coalition_cut(masks: Tuple[int, ...], coalition: Tuple[int, ...], k: int):
     return union, rivals
 
 
-def is_traceable_exact(
-    scheme: KeyScheme, c: int, budget: int = DEFAULT_STEP_BUDGET
-) -> TAVerdict:
+def is_traceable_exact(scheme: KeyScheme, c: int) -> TAVerdict:
     """Exact verdict over every coalition of size <= c and every k-subset
     pirate from the coalition's key union, decided per (coalition C,
     outsider u) pair without building pirates.
@@ -194,13 +187,13 @@ def is_traceable_exact(
     violating pirate (built key by key) and that pirate's smallest outside
     maximum-overlap decoder: what enumerating the pirates in order would
     report first.  A step is one pair test or one count vector; the walk
-    refuses up front when the pair tests alone exceed ``budget``, and
-    ``BudgetExceededError`` is raised mid-search when the count vectors take
-    the total past it.
+    refuses up front when the pair tests alone exceed
+    ``rigor.DEFAULT_STEP_BUDGET``, and ``BudgetExceededError`` is raised
+    mid-search when the count vectors take the total past it.
     """
-    pair_tests, walk = coalitions(scheme.n, c, budget)
+    pair_tests, walk = coalitions(scheme.n, c)
     masks, k = scheme._masks, scheme.k
-    search = _PairSearch(masks, k, budget, pair_tests)
+    search = _PairSearch(masks, k, pair_tests)
     for coalition in walk:
         union, rivals = _coalition_cut(masks, coalition, k)
         if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
@@ -219,10 +212,10 @@ class _PairSearch:
     """Decides whether an outsider can tie a coalition's trace, by count
     vectors over signature classes: the keys a set of members holds and the
     rest of the coalition lacks.  Each count vector visited adds one to
-    ``steps``, which may not pass ``budget``."""
+    ``steps``, which may not pass ``rigor.DEFAULT_STEP_BUDGET``."""
 
-    def __init__(self, masks: Tuple[int, ...], k: int, budget: int, steps: int):
-        self.masks, self.k, self.budget, self.steps = masks, k, budget, steps
+    def __init__(self, masks: Tuple[int, ...], k: int, steps: int):
+        self.masks, self.k, self.steps = masks, k, steps
 
     def can_tie(self, coalition, rival: int, fixed: int, avail: int, need: int) -> bool:
         """Whether ``need`` keys of ``avail`` added to the keys ``fixed``
@@ -280,9 +273,9 @@ class _PairSearch:
             if state in failed:
                 return False
             self.steps += 1
-            if self.steps > self.budget:
+            if self.steps > rigor.DEFAULT_STEP_BUDGET:
                 raise BudgetExceededError(
-                    f"exact verification ran past its budget of {self.budget} steps"
+                    f"exact verification ran past its budget of {rigor.DEFAULT_STEP_BUDGET} steps"
                 )
             room = [min(size, *(caps[p] for p in sig)) for sig, size in classes[at:]]
             if sum(room) >= want:
@@ -365,8 +358,8 @@ def sample_traceability(
     one direct :func:`trace` call, which raises if no outsider ties.
     Sampling can only certify falsehood; with no violation found the
     verdict stays Unresolved.  It builds at most min(trials, coalitions)
-    cuts of n steps each, and raises ``BudgetExceededError`` up front when
-    they pass ``DEFAULT_STEP_BUDGET``.
+    cuts of n steps each, refused up front by
+    :func:`rigor.refuse_over_budget`.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -386,11 +379,7 @@ def sample_traceability(
         if total > trials:  # at large n and c the full sum takes seconds
             break
     keep = total <= trials
-    steps = min(trials, total) * n
-    if steps > DEFAULT_STEP_BUDGET:
-        raise BudgetExceededError(
-            f"sampling needs ~{steps} steps, budget is {DEFAULT_STEP_BUDGET}"
-        )
+    refuse_over_budget("sampling", min(trials, total) * n)
     cuts: dict = {}
     for t in range(trials):
         size = rng.randint(2, top)

@@ -528,3 +528,21 @@ def test_certified_frameproof_codes_obey_the_codeword_count_bound(case):
     for definition in FeasibleDefinition:
         if is_frameproof(code, c, definition).is_frameproof:
             assert code.n <= ssw_upper(code.length, c, code.s)
+
+
+def code_as_scheme(code: Code) -> KeyScheme:
+    """Word x as the keys {p*s + x_p}: one key per position, so k = l."""
+    return KeyScheme(code.length * code.s, tuple(
+        frozenset(p * code.s + x for p, x in enumerate(word)) for word in code.codewords
+    ))
+
+
+@given(dense_codes())
+@settings(max_examples=300, deadline=None)
+def test_traceable_code_schemes_come_from_frameproof_codes(case):
+    """Staddon-Stinson-Wei: if a code's scheme is c-traceable, the code is
+    c-frame-proof under coordinate sets.  A coalition that frames u can
+    build the pirate keys(u), which u ties at overlap k."""
+    code, c = case
+    if is_traceable_exact(code_as_scheme(code), c).verdict.is_true:
+        assert is_frameproof(code, c, FeasibleDefinition.COORDINATE_SET).is_frameproof

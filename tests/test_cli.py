@@ -13,9 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fptrace
-from fptrace import cli, fixtures, fpcode
-from fptrace.fpcode import parse_code
-from fptrace.tascheme import format_scheme, make_disjoint_scheme, parse_scheme
+from fptrace import cli, fixtures, rigor
+from fptrace.fpcode import is_frameproof, min_distance, parse_code
+from fptrace.rigor import BudgetExceededError
+from fptrace.tascheme import (
+    format_scheme,
+    is_traceable_exact,
+    make_disjoint_scheme,
+    parse_scheme,
+    sample_traceability,
+)
 
 
 def run(capsys, *argv):
@@ -100,11 +107,49 @@ def test_min_distance_over_budget_is_an_error(tmp_path, capsys, monkeypatch):
     pairs are the only work the budget sees: 40 words take 780 steps."""
     path = tmp_path / "code.txt"
     path.write_text("".join(f"{i:06b}\n" for i in range(40)))
-    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 780)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 780)
     assert run_json(capsys, "verify-fp", str(path), "--c", "1")["min_distance"] == 1
-    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 779)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 779)
     code, out, err = run(capsys, "verify-fp", str(path), "--c", "1")
     assert (code, out, err) == (1, "", "error: minimum distance needs ~780 steps, budget is 779\n")
+
+
+def test_every_verifier_reads_the_one_step_budget_when_it_runs(tmp_path, capsys, monkeypatch):
+    """Lowering ``rigor.DEFAULT_STEP_BUDGET`` after import reaches every
+    verifier and both commands: 40 words or one-key decoders take C(40, 2)
+    * 38 pair tests at c = 2, C(40, 2) codeword pairs, or min(100, C(40, 2))
+    cuts of 40 decoders; the triangle passes 3 steps only mid-search."""
+    words = "".join(f"{i:06b}\n" for i in range(40))
+    code, scheme = parse_code(words), make_disjoint_scheme(40, 40, 1)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 10)
+    for refuse, message in (
+        (lambda: is_frameproof(code, 2), "exact verification needs ~29640 steps, budget is 10"),
+        (lambda: min_distance(code), "minimum distance needs ~780 steps, budget is 10"),
+        (lambda: is_traceable_exact(scheme, 2),
+         "exact verification needs ~29640 steps, budget is 10"),
+        (lambda: sample_traceability(scheme, 2, 100, 1),
+         "sampling needs ~4000 steps, budget is 10"),
+    ):
+        with pytest.raises(BudgetExceededError) as refused:
+            refuse()
+        assert str(refused.value) == message
+    code_path, scheme_path = tmp_path / "code.txt", tmp_path / "scheme.txt"
+    code_path.write_text(words)
+    scheme_path.write_text(format_scheme(scheme))
+    for argv, message in (
+        (["verify-fp", str(code_path), "--c", "2"],
+         "exact verification needs ~29640 steps, budget is 10"),
+        (["verify-ta", str(scheme_path), "--c", "2", "--method", "exact"],
+         "exact verification needs ~29640 steps, budget is 10"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 3)
+    with pytest.raises(BudgetExceededError) as refused:
+        is_traceable_exact(fixtures.triangle(), 2)
+    assert str(refused.value) == "exact verification ran past its budget of 3 steps"
+    assert run(capsys, "verify-ta", "triangle", "--c", "2", "--method", "exact") == (
+        1, "", "error: exact verification ran past its budget of 3 steps\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptrace import fpcode
+from fptrace import rigor
 from fptrace.fpcode import (
     BudgetExceededError,
     Code,
@@ -141,22 +141,28 @@ def test_c_equals_1_always_frameproof():
             assert is_frameproof(code, 1, definition).is_frameproof
 
 
-def test_is_frameproof_budget_guard():
+def test_is_frameproof_budget_guard(monkeypatch):
     code = construct_identity_concat(20, ones=0, zeros=0, copies=1)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        is_frameproof(code, 10, UNA, budget=100)
+        is_frameproof(code, 10, UNA)
 
 
-def test_budget_refusal_matches_reference():
+def test_budget_refusal_matches_reference(monkeypatch):
     """One step per (coalition, outsider) pair test: three pairs of three
     words, one outsider each."""
     code = parse_code("0011\n0110\n1100")
     message = "exact verification needs ~3 steps, budget is 2"
-    for verify in (is_frameproof, frameproof_reference):
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 2)
+    for verify in (
+        lambda: is_frameproof(code, 2, UNA),
+        lambda: frameproof_reference(code, 2, UNA, budget=2),
+    ):
         with pytest.raises(BudgetExceededError) as refused:
-            verify(code, 2, UNA, budget=2)
+            verify()
         assert str(refused.value) == message
-    assert is_frameproof(code, 2, UNA, budget=3) == frameproof_reference(
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 3)
+    assert is_frameproof(code, 2, UNA) == frameproof_reference(
         code, 2, UNA, budget=3
     )
 
@@ -239,9 +245,9 @@ def test_min_distance_and_weights():
 def test_min_distance_over_budget_is_refused_up_front(monkeypatch):
     """One step per pair of codewords: 40 words take C(40, 2) = 780 steps."""
     code = parse_code("".join(f"{i:06b}\n" for i in range(40)))
-    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 780)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 780)
     assert min_distance(code) == 1
-    monkeypatch.setattr(fpcode, "DEFAULT_STEP_BUDGET", 779)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 779)
     with pytest.raises(
         BudgetExceededError, match=r"^minimum distance needs ~780 steps, budget is 779$"
     ):

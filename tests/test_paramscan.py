@@ -1,13 +1,14 @@
 """Window emptiness, the candidate filter, the case analysis, and the scans."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptrace import paramscan
+from fptrace import cli, paramscan
 from fptrace.paramscan import (
     CaseTag,
     EitherOr,
@@ -29,7 +30,7 @@ from fptrace.paramscan import (
     window_lower,
     window_upper,
 )
-from fptrace.rigor import DomainError, Enclosure, certify_less
+from fptrace.rigor import Certainty, DomainError, Enclosure, certify_less
 
 from tests.helpers import (
     candidate_filter_reference,
@@ -386,6 +387,30 @@ def test_bracket_keeps_the_first_length_whose_window_holds_an_integer(w, a):
 def test_scan_reduced_grid_same_verdict():
     rep = scan_infeasibility(5, 19, ScanMode.THM10)
     assert rep.certified_infeasible
+
+
+@pytest.mark.parametrize("forged, verdict", [
+    (Certainty.true(), "CertifiedFalse"),
+    (Certainty.unresolved(64), "Unresolved(precision_bits=64)"),
+])
+def test_one_listed_window_that_is_not_empty_decides_the_scan(
+    monkeypatch, capsys, forged, verdict
+):
+    """A listed THM10 window that reports an integer makes the scan
+    CertifiedFalse, and one left unresolved makes it Unresolved, in the
+    report and in the CLI's last line."""
+    real = paramscan.delta_window_for_length
+
+    def faulty(w, a, length, precision_bits=64):
+        win = real(w, a, length, precision_bits)
+        return replace(win, integer_exists=forged) if (w, a) == (3, 3) else win
+
+    monkeypatch.setattr(paramscan, "delta_window_for_length", faulty)
+    rep = scan_infeasibility(5, 19, ScanMode.THM10)
+    assert str(rep.verdict) == verdict and not rep.certified_infeasible
+    assert rep.unresolved == (() if forged.is_true else ((3, 3),))
+    assert cli.main(["scan", "--mode", "thm10", "--wmax", "5", "--cmax", "19"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"global verdict: {verdict}"
 
 
 def test_scan_rejects_small_extents():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptrace import tascheme
+from fptrace import rigor, tascheme
 from fptrace.rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, Certainty, DomainError
 from fptrace.tascheme import (
     KeyScheme,
@@ -130,7 +130,7 @@ def test_exact_c1_true_for_distinct_decoders():
         assert is_traceable_exact(scheme, 1).verdict.is_true
 
 
-def test_exact_over_budget_raises_budget_exceeded():
+def test_exact_over_budget_raises_budget_exceeded(monkeypatch):
     """Refused up front when the pair tests alone pass the budget, and
     stopped mid-search when the count vectors do.  The up-front count stops
     at the first coalition size that passes the budget: at c = 15000 it is
@@ -146,8 +146,9 @@ def test_exact_over_budget_raises_budget_exceeded():
         (triangle(), 2, triangle_pairs,
          "exact verification ran past its budget of 3 steps"),
     ):
+        monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", budget)
         with pytest.raises(BudgetExceededError) as refused:
-            is_traceable_exact(scheme, c, budget=budget)
+            is_traceable_exact(scheme, c)
         assert str(refused.value) == message
 
 
@@ -155,19 +156,22 @@ def test_exact_over_budget_raises_budget_exceeded():
     (triangle(), "CertifiedFalse"),
     (keyed(4, {0, 3}, {1, 3}, {2, 3}), "CertifiedTrue"),
 ])
-def test_exact_budget_equal_to_the_steps_taken_suffices(scheme, verdict):
+def test_exact_budget_equal_to_the_steps_taken_suffices(monkeypatch, scheme, verdict):
     """At c = 2 each scheme takes exactly 6 steps, 3 pair tests and 3 count
     vectors: a budget of 6 decides it, and 5 stops the search mid-way."""
-    assert str(is_traceable_exact(scheme, 2, budget=6).verdict) == verdict
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 6)
+    assert str(is_traceable_exact(scheme, 2).verdict) == verdict
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 5)
     with pytest.raises(BudgetExceededError) as refused:
-        is_traceable_exact(scheme, 2, budget=5)
+        is_traceable_exact(scheme, 2)
     assert str(refused.value) == "exact verification ran past its budget of 5 steps"
 
 
-def test_lone_members_take_no_steps():
+def test_lone_members_take_no_steps(monkeypatch):
     """A lone member's only pirate is its own key set, which no other
     decoder holds, so c = 1 walks no coalition and needs no budget."""
-    assert is_traceable_exact(triangle(), 1, budget=0).verdict.is_true
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 0)
+    assert is_traceable_exact(triangle(), 1).verdict.is_true
 
 
 def test_exact_disjoint_256_8_32_c4_certified_true():
@@ -211,7 +215,7 @@ def test_exact_matches_reference(case):
 
 
 def pack(classes, caps, want) -> bool:
-    return tascheme._PairSearch((), 0, DEFAULT_STEP_BUDGET, 0)._pack(classes, caps, want)
+    return tascheme._PairSearch((), 0, 0)._pack(classes, caps, want)
 
 
 @pytest.mark.parametrize("classes, caps, want, feasible", [
@@ -225,6 +229,18 @@ def pack(classes, caps, want) -> bool:
 def test_pack_search_pinned_instances(classes, caps, want, feasible):
     assert pack_reference(classes, caps, want) is feasible
     assert pack(classes, caps, want) is feasible
+
+
+def test_pack_skips_a_failed_state_reached_again():
+    """No packing exists, and two count vectors lead to the same
+    (class, want, caps) state: the memo answers the second visit, so the
+    search takes 36 steps where it would take 38 without it."""
+    classes = [((0,), 2), ((2,), 1), ((1, 2), 1), ((0, 1), 2), ((0, 1, 2), 4)]
+    caps, want = (5, 3, 5), 7
+    assert pack_reference(classes, caps, want) is False
+    search = tascheme._PairSearch((), 0, 0)
+    assert search._pack(classes, caps, want) is False
+    assert search.steps == 36
 
 
 @st.composite
@@ -417,6 +433,24 @@ def test_sampling_matches_reference(case):
     )
 
 
+@given(sampled_schemes())
+@settings(max_examples=300, deadline=None)
+def test_sampled_refutations_are_exact_refutations(case):
+    """A sampler CertifiedFalse implies an exact CertifiedFalse, and its
+    witness replays through trace: a pirate of k keys from the coalition's
+    union that an outsider ties."""
+    scheme, c, trials, seed = case
+    sampled = sample_traceability(scheme, c, trials, seed)
+    if sampled.verdict.is_false:
+        assert is_traceable_exact(scheme, c).verdict.is_false
+        w = sampled.witness
+        coalition, pirate, outsider = w.coalition, w.pirate, w.outsider
+        assert 2 <= len(coalition) <= c and outsider not in coalition
+        assert len(set(pirate)) == scheme.k
+        assert set(pirate) <= set().union(*(scheme.decoders[i] for i in coalition))
+        assert outsider in trace(scheme, pirate).argmax_decoders
+
+
 def counted_draws(monkeypatch, module, run):
     """The verdict of ``run()`` and the number of ``randint`` and ``sample``
     calls it made, with ``module.random.Random`` replaced by a counting
@@ -475,10 +509,10 @@ def test_sampling_draw_counts(monkeypatch):
 def test_sampling_over_budget_is_refused_up_front(monkeypatch):
     """Each cut tests all n decoders: 200 trials at c = 4 on 8 decoders build
     at most min(200, 154 coalitions) cuts, 1,232 steps."""
-    monkeypatch.setattr(tascheme, "DEFAULT_STEP_BUDGET", 1000)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match=r"^sampling needs ~1232 steps, budget is 1000$"):
         sample_traceability(make_disjoint_scheme(256, 8, 32), 4, 200, 42)
-    monkeypatch.setattr(tascheme, "DEFAULT_STEP_BUDGET", 1232)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 1232)
     assert sample_traceability(make_disjoint_scheme(256, 8, 32), 4, 200, 42).verdict.is_unresolved
 
 
