@@ -21,6 +21,11 @@ position where all members agree; under coordinate sets with s > 2 iff none
 of x's (position, symbol) bits lies outside the members' OR.  That test is
 the step of the shared step budget, read from ``rigor.DEFAULT_STEP_BUDGET``
 when a check runs: one whose pair tests exceed it is refused up front.
+Framing only grows with the coalition (a new member unpins positions or adds
+symbols), so an outsider that all the other users together cannot frame is
+framed by none.  Prefix and suffix (AND, OR) folds of the words find those
+outsiders in O(n) integer operations; the walk tests only the rest, and a
+code with none left is frame-proof without a walk.
 Verdicts, witnesses and budget refusals are those of a symbol-by-symbol
 membership test on the coalition's per-position feasible symbols, which the
 test suite keeps as the reference.
@@ -111,13 +116,14 @@ def _one_hot_keys(code: Code) -> list:
 
 
 def _mask_test(code: Code, definition: FeasibleDefinition):
-    """Codewords as ints, and a map from a coalition to (mask, target) such
-    that outsider x is in its feasible set iff ``keys[x] & mask == target``.
+    """Codewords as ints; a map from a coalition to (mask, target) such that
+    outsider x is in its feasible set iff ``keys[x] & mask == target``; and
+    the same map from the AND and OR of any word set's keys.
 
     Unanimity packs b = (s-1).bit_length() bits per position, and ``mask``
-    pins the positions on which every member agrees with the first.
-    Coordinate sets with s > 2 pack one bit per (position, symbol), and
-    ``mask`` is the complement of the members' OR.
+    pins the positions on which every member agrees with the first (where
+    the AND and OR agree).  Coordinate sets with s > 2 pack one bit per
+    (position, symbol), and ``mask`` is the complement of the members' OR.
     """
     s, length = code.s, code.length
     if definition is FeasibleDefinition.COORDINATE_SET and s > 2:
@@ -130,7 +136,7 @@ def _mask_test(code: Code, definition: FeasibleDefinition):
                 cover |= keys[i]
             return full ^ cover, 0
 
-        return keys, mask_of
+        return keys, mask_of, lambda conj, disj: (full ^ disj, 0)
 
     b = (s - 1).bit_length()
     keys = [int("".join(_SYMBOLS[sym] for sym in reversed(w)), 1 << b) for w in code.codewords]
@@ -138,18 +144,40 @@ def _mask_test(code: Code, definition: FeasibleDefinition):
     full = (1 << (b * length)) - 1
     low = full // group  # the lowest bit of every position's group
 
+    def mask_of_folds(conj, disj):
+        diff = conj ^ disj
+        nonzero = diff
+        for shift in range(1, b):
+            nonzero |= diff >> shift
+        pin = full ^ (nonzero & low) * group
+        return pin, disj & pin
+
     def mask_of(coalition):
         base = keys[coalition[0]]
         diff = 0
         for i in coalition[1:]:
             diff |= keys[i] ^ base
-        nonzero = diff
-        for shift in range(1, b):
-            nonzero |= diff >> shift
-        pin = full ^ (nonzero & low) * group
-        return pin, base & pin
+        return mask_of_folds(base & ~diff, base | diff)
 
-    return keys, mask_of
+    return keys, mask_of, mask_of_folds
+
+
+def _live_outsiders(keys: list, mask_of_folds) -> list:
+    """(x, keys[x]) for every x that the coalition of all other users
+    frames, in index order, from prefix and suffix (AND, OR) folds."""
+    after = [(-1, 0)]  # after[x] folds keys[x + 1:]
+    for key in reversed(keys[1:]):
+        conj, disj = after[-1]
+        after.append((conj & key, disj | key))
+    after.reverse()
+    live = []
+    conj, disj = -1, 0
+    for x, (key, (after_and, after_or)) in enumerate(zip(keys, after)):
+        mask, target = mask_of_folds(conj & after_and, disj | after_or)
+        if key & mask == target:
+            live.append((x, key))
+        conj, disj = conj & key, disj | key
+    return live
 
 
 def is_frameproof(
@@ -161,13 +189,18 @@ def is_frameproof(
 
     Coalitions are walked, and walks over ``rigor.DEFAULT_STEP_BUDGET``
     refused up front, by :func:`rigor.coalitions`; the first violation found
-    is returned as the witness, with the smallest framed outsider.
+    is returned as the witness, with the smallest framed outsider.  The walk
+    skips, in the same order, the outsiders that all the other users
+    together cannot frame, and is not needed when that leaves none.
     """
     _, walk = coalitions(code.n, c)
-    keys, mask_of = _mask_test(code, definition)
+    keys, mask_of, mask_of_folds = _mask_test(code, definition)
+    live = _live_outsiders(keys, mask_of_folds)
+    if not live:
+        return FrameproofVerdict(True)
     for coalition in walk:
         mask, target = mask_of(coalition)
-        for x, key in enumerate(keys):
+        for x, key in live:
             if key & mask == target and x not in coalition:
                 return FrameproofVerdict(False, FrameWitness(coalition, x))
     return FrameproofVerdict(True)

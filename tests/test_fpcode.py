@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptrace import rigor
+from fptrace import fpcode, rigor
 from fptrace.fpcode import (
     BudgetExceededError,
     Code,
     CodeFormatError,
     FeasibleDefinition,
+    FrameproofVerdict,
+    FrameWitness,
     construct_identity_concat,
     format_code,
     is_frameproof,
@@ -116,6 +118,24 @@ def test_enumeration_size_guard():
 # ---------------------------------------------------------------------------
 
 
+def framed_by_all_others(code, definition):
+    """The outsiders that the coalition of all other users frames, by the
+    symbol-by-symbol reference."""
+    return [
+        x
+        for x, word in enumerate(code.codewords)
+        if feasible_contains(
+            feasible_pattern(code, [i for i in range(code.n) if i != x], definition), word
+        )
+    ]
+
+
+def live_outsiders(code, definition):
+    """The outsiders that ``is_frameproof``'s pre-pass leaves to the walk."""
+    keys, _, mask_of_folds = fpcode._mask_test(code, definition)
+    return [x for x, _ in fpcode._live_outsiders(keys, mask_of_folds)]
+
+
 def test_gamma64_is_2_frameproof():
     code = construct_identity_concat(3, ones=29, zeros=26, copies=3)
     assert code.n == 3 and code.length == 64
@@ -142,10 +162,21 @@ def test_c_equals_1_always_frameproof():
 
 
 def test_is_frameproof_budget_guard(monkeypatch):
+    """An identity code has no live outsider, so the pre-pass alone would
+    decide it, but the walk's pair tests, C(20, 2) * 18 = 3,420 at c = 2,
+    are still counted and refused up front first."""
     code = construct_identity_concat(20, ones=0, zeros=0, copies=1)
+    assert live_outsiders(code, UNA) == []
     monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
         is_frameproof(code, 10, UNA)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 3419)
+    with pytest.raises(
+        BudgetExceededError, match=r"^exact verification needs ~3420 steps, budget is 3419$"
+    ):
+        is_frameproof(code, 2, UNA)
+    monkeypatch.setattr(rigor, "DEFAULT_STEP_BUDGET", 3420)
+    assert is_frameproof(code, 2, UNA) == FrameproofVerdict(True)
 
 
 def test_budget_refusal_matches_reference(monkeypatch):
@@ -204,6 +235,105 @@ def test_mask_kernel_matches_reference(code):
             assert is_frameproof(code, c, definition) == frameproof_reference(
                 code, c, definition
             )
+
+
+def test_pre_pass_and_walk_match_reference_with_private_positions():
+    """Random words, then one private position for each word of a random
+    subset (a nonzero symbol that every other word leaves 0), so that codes
+    range from no safe outsider to all safe.  The pre-pass keeps exactly the
+    outsiders that all others frame, and the verdict and witness are the
+    reference's at every c, under both definitions, for s = 2, 3 and 4."""
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(240):
+        s = rng.choice((2, 3, 4))
+        code = random_code(rng, n_max=6, l_max=4, s=s)
+        private = sorted(rng.sample(range(code.n), rng.randint(0, code.n)))
+        rows = tuple(
+            word + tuple(rng.randrange(1, s) if x == p else 0 for p in private)
+            for x, word in enumerate(code.codewords)
+        )
+        code = Code(rows, s)
+        for definition in (UNA, CRD):
+            live = live_outsiders(code, definition)
+            assert live == framed_by_all_others(code, definition)
+            seen.add((definition, min(len(live), 1) + (len(live) == code.n)))
+            for c in range(1, code.n + 1):
+                assert is_frameproof(code, c, definition) == frameproof_reference(
+                    code, c, definition
+                )
+    assert len(seen) == 6  # all safe, some safe and none safe, per definition
+
+
+def test_outsider_framed_only_by_all_others_goes_to_the_walk():
+    """Under either definition, the other three words disagree on every
+    position, so each weight-one word is framed by them, but each pair of
+    them pins a position where it differs; 1111 has a private last position.
+    At c = 2 the walk tests the three live outsiders and finds none framed;
+    at c = 3 the first witness has size 3."""
+    code = parse_code("1000\n0100\n0010\n1111")
+    for definition in (UNA, CRD):
+        assert live_outsiders(code, definition) == [0, 1, 2]
+        assert is_frameproof(code, 2, definition) == FrameproofVerdict(True)
+        assert is_frameproof(code, 3, definition) == FrameproofVerdict(
+            False, FrameWitness((0, 1, 3), 2)
+        )
+        assert is_frameproof(code, 3, definition) == frameproof_reference(code, 3, definition)
+
+
+def test_pre_pass_keeps_unanimity_and_coordinate_sets_apart():
+    """In 00/11/22 every word is framed by the other two under unanimity,
+    so the walk runs and finds a witness; under coordinate sets no word's
+    symbols appear in the others, so the pre-pass alone decides."""
+    code = parse_code("00\n11\n22")
+    assert live_outsiders(code, UNA) == [0, 1, 2]
+    assert is_frameproof(code, 2, UNA) == FrameproofVerdict(False, FrameWitness((0, 1), 2))
+    assert live_outsiders(code, CRD) == []
+    assert is_frameproof(code, 2, CRD) == FrameproofVerdict(True)
+
+
+@st.composite
+def relabelled_codes(draw):
+    """A small code, and the same code with its positions permuted and its
+    symbols relabelled position by position."""
+    code = draw(small_codes())
+    order = draw(st.permutations(range(code.length)))
+    relabel = [draw(st.permutations(range(code.s))) for _ in range(code.length)]
+    rows = tuple(tuple(relabel[p][word[p]] for p in order) for word in code.codewords)
+    return code, Code(rows, code.s)
+
+
+@given(relabelled_codes())
+@settings(max_examples=200, deadline=None)
+def test_relabelling_positions_and_symbols_keeps_verdict_and_witness(pair):
+    code, relabelled = pair
+    for c in range(1, code.n + 1):
+        for definition in (UNA, CRD):
+            assert is_frameproof(relabelled, c, definition) == is_frameproof(code, c, definition)
+
+
+@given(small_codes())
+@settings(max_examples=200, deadline=None)
+def test_first_witness_size_fixes_the_verdict_in_c(code):
+    """A first witness of size j is the verdict and witness at every
+    c' >= j, and the code is frame-proof at c' = j - 1."""
+    for definition in (UNA, CRD):
+        verdict = is_frameproof(code, code.n, definition)
+        if verdict.is_frameproof:
+            assert all(is_frameproof(code, c, definition) == verdict for c in range(1, code.n))
+            continue
+        j = len(verdict.witness.coalition)
+        for c in range(j, code.n + 2):
+            assert is_frameproof(code, c, definition) == verdict
+        assert is_frameproof(code, j - 1, definition) == FrameproofVerdict(True)
+
+
+@given(small_codes())
+@settings(max_examples=200, deadline=None)
+def test_unanimity_frameproof_implies_coordinate_set_frameproof(code):
+    for c in range(1, code.n + 1):
+        if is_frameproof(code, c, UNA).is_frameproof:
+            assert is_frameproof(code, c, CRD).is_frameproof
 
 
 @given(small_codes().filter(lambda code: code.n >= 2))
