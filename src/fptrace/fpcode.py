@@ -14,18 +14,20 @@ c codeword holders has another user's codeword inside its feasible set.
 
 Verification is exact: coalitions are enumerated in ascending size and
 lexicographic order within a size, outsiders in index order, so a reported
-witness is deterministic.  Each (coalition, outsider) check is one integer
-mask test: under unanimity (and over a binary alphabet, under either
-definition) outsider x is framed iff it matches the first member on every
-position where all members agree; under coordinate sets with s > 2 iff none
-of x's (position, symbol) bits lies outside the members' OR.  That test is
-the step of the shared step budget, read from ``rigor.DEFAULT_STEP_BUDGET``
-when a check runs: one whose pair tests exceed it is refused up front.
-Framing only grows with the coalition (a new member unpins positions or adds
-symbols), so an outsider that all the other users together cannot frame is
-framed by none.  Prefix and suffix (AND, OR) folds of the words find those
-outsiders in O(n) integer operations; the walk tests only the rest, and a
-code with none left is frame-proof without a walk.
+witness is deterministic.  A set of words is folded into the AND and OR of
+their packed keys, and one rule per packing turns those into the (mask,
+target) of a single integer test per (coalition, outsider): under unanimity
+(and over a binary alphabet, under either definition) outsider x is framed
+iff it matches the members wherever the AND and OR agree; under coordinate
+sets with s > 2 iff none of x's (position, symbol) bits lies outside the
+OR.  That test is the step of the shared step budget, read from
+``rigor.DEFAULT_STEP_BUDGET`` when a check runs: one whose pair tests
+exceed it is refused up front.  Framing only grows with the coalition (a
+new member unpins positions or adds symbols), so an outsider that all the
+other users together cannot frame is framed by none.  The same rule on
+prefix and suffix folds finds those outsiders in O(n) integer operations;
+the walk tests only the rest, and a code with none left is frame-proof
+without a walk.
 Verdicts, witnesses and budget refusals are those of a symbol-by-symbol
 membership test on the coalition's per-position feasible symbols, which the
 test suite keeps as the reference.
@@ -48,6 +50,8 @@ Word = Tuple[int, ...]
 MAX_ALPHABET = 16
 
 _SYMBOLS = "0123456789abcdef"
+# symbol -> digit character: the one table for packing and for the text format
+_DIGITS = bytes.maketrans(bytes(range(MAX_ALPHABET)), _SYMBOLS.encode())
 
 
 class CodeFormatError(ValueError):
@@ -116,30 +120,22 @@ def _one_hot_keys(code: Code) -> list:
 
 
 def _mask_test(code: Code, definition: FeasibleDefinition):
-    """Codewords as ints; a map from a coalition to (mask, target) such that
-    outsider x is in its feasible set iff ``keys[x] & mask == target``; and
-    the same map from the AND and OR of any word set's keys.
+    """Codewords as ints, and a map from the AND and OR of a word set's keys
+    to (mask, target) such that outsider x is in the set's feasible set iff
+    ``keys[x] & mask == target``.
 
-    Unanimity packs b = (s-1).bit_length() bits per position, and ``mask``
-    pins the positions on which every member agrees with the first (where
-    the AND and OR agree).  Coordinate sets with s > 2 pack one bit per
-    (position, symbol), and ``mask`` is the complement of the members' OR.
+    Unanimity packs b = (s-1).bit_length() bits per position, symbol sym at
+    bits b*i and up, and ``mask`` pins the positions where the AND and OR
+    agree.  Coordinate sets with s > 2 pack one bit per (position, symbol),
+    and ``mask`` is the complement of the OR.
     """
     s, length = code.s, code.length
     if definition is FeasibleDefinition.COORDINATE_SET and s > 2:
-        keys = _one_hot_keys(code)
         full = (1 << (s * length)) - 1
-
-        def mask_of(coalition):
-            cover = 0
-            for i in coalition:
-                cover |= keys[i]
-            return full ^ cover, 0
-
-        return keys, mask_of, lambda conj, disj: (full ^ disj, 0)
+        return _one_hot_keys(code), lambda conj, disj: (full ^ disj, 0)
 
     b = (s - 1).bit_length()
-    keys = [int("".join(_SYMBOLS[sym] for sym in reversed(w)), 1 << b) for w in code.codewords]
+    keys = [int(bytes(reversed(w)).translate(_DIGITS), 1 << b) for w in code.codewords]
     group = (1 << b) - 1
     full = (1 << (b * length)) - 1
     low = full // group  # the lowest bit of every position's group
@@ -152,14 +148,7 @@ def _mask_test(code: Code, definition: FeasibleDefinition):
         pin = full ^ (nonzero & low) * group
         return pin, disj & pin
 
-    def mask_of(coalition):
-        base = keys[coalition[0]]
-        diff = 0
-        for i in coalition[1:]:
-            diff |= keys[i] ^ base
-        return mask_of_folds(base & ~diff, base | diff)
-
-    return keys, mask_of, mask_of_folds
+    return keys, mask_of_folds
 
 
 def _live_outsiders(keys: list, mask_of_folds) -> list:
@@ -194,12 +183,15 @@ def is_frameproof(
     together cannot frame, and is not needed when that leaves none.
     """
     _, walk = coalitions(code.n, c)
-    keys, mask_of, mask_of_folds = _mask_test(code, definition)
+    keys, mask_of_folds = _mask_test(code, definition)
     live = _live_outsiders(keys, mask_of_folds)
     if not live:
         return FrameproofVerdict(True)
     for coalition in walk:
-        mask, target = mask_of(coalition)
+        conj = disj = keys[coalition[0]]
+        for i in coalition[1:]:
+            conj, disj = conj & keys[i], disj | keys[i]
+        mask, target = mask_of_folds(conj, disj)
         for x, key in live:
             if key & mask == target and x not in coalition:
                 return FrameproofVerdict(False, FrameWitness(coalition, x))
@@ -290,5 +282,5 @@ def parse_code(text: str) -> Code:
 def format_code(code: Code) -> str:
     """Inverse of :func:`parse_code` (for codes that use their top symbol)."""
     lines = [f"# code: n={code.n} l={code.length} s={code.s}"]
-    lines.extend("".join(_SYMBOLS[sym] for sym in w) for w in code.codewords)
+    lines.extend(bytes(w).translate(_DIGITS).decode() for w in code.codewords)
     return "\n".join(lines) + "\n"

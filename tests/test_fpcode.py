@@ -1,5 +1,6 @@
 """Feasible sets, frame-proof verification, and the text format."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fptrace import fpcode, rigor
 from fptrace.fpcode import (
+    MAX_ALPHABET,
     BudgetExceededError,
     Code,
     CodeFormatError,
@@ -92,8 +94,6 @@ def test_enumerate_matches_membership_exactly():
     feas = enumerate_feasible(code, [0, 1], UNA)
     assert feas == {(0, 0, 1, 1), (0, 0, 1, 0), (0, 1, 1, 1), (0, 1, 1, 0)}
     pat = feasible_pattern(code, [0, 1], UNA)
-    import itertools
-
     for word in itertools.product((0, 1), repeat=4):
         assert (word in feas) == feasible_contains(pat, word)
 
@@ -132,7 +132,7 @@ def framed_by_all_others(code, definition):
 
 def live_outsiders(code, definition):
     """The outsiders that ``is_frameproof``'s pre-pass leaves to the walk."""
-    keys, _, mask_of_folds = fpcode._mask_test(code, definition)
+    keys, mask_of_folds = fpcode._mask_test(code, definition)
     return [x for x, _ in fpcode._live_outsiders(keys, mask_of_folds)]
 
 
@@ -218,23 +218,57 @@ def test_long_identity_code_fits_the_default_budget():
 
 @st.composite
 def small_codes(draw):
-    s = draw(st.integers(2, 4))
-    length = draw(st.integers(1, 8))
+    """Up to 9 distinct words of 1 to 6 positions over any alphabet the
+    kernel takes, so that every packing width and n > l both occur."""
+    s = draw(st.integers(2, MAX_ALPHABET))
+    length = draw(st.integers(1, 6))
     word = st.tuples(*[st.integers(0, s - 1)] * length)
-    words = draw(st.lists(word, min_size=1, max_size=7, unique=True))
+    words = draw(st.lists(word, min_size=1, max_size=9, unique=True))
     return Code(tuple(words), s)
 
 
-@given(small_codes())
-@settings(max_examples=400, deadline=None)
-def test_mask_kernel_matches_reference(code):
+@st.composite
+def covered_codes(draw):
+    """A word x, three words that each show x's symbol on one of three
+    blocks of positions and another symbol everywhere else, and up to three
+    random words, in a random order.  Under coordinate sets no two of the
+    three frame x and all three do, so first witnesses of size 3 occur."""
+    s = draw(st.integers(3, MAX_ALPHABET))
+    length = draw(st.integers(3, 6))
+    x = draw(st.tuples(*[st.integers(0, s - 1)] * length))
+    cuts = draw(st.lists(st.integers(1, length - 1), min_size=2, max_size=2, unique=True))
+    block = [sum(p >= cut for cut in cuts) for p in range(length)]
+    shift = st.integers(1, s - 1)
+    members = [
+        tuple(x[p] if block[p] == m else (x[p] + draw(shift)) % s for p in range(length))
+        for m in range(3)
+    ]
+    others = draw(st.lists(st.tuples(*[st.integers(0, s - 1)] * length), max_size=3))
+    words = list(dict.fromkeys([x, *members, *others]))
+    return Code(tuple(draw(st.permutations(words))), s)
+
+
+def test_mask_kernel_matches_reference():
     """The mask tests give the reference's whole verdict, witness included,
-    for every c and both definitions over alphabets of 2, 3 and 4."""
-    for c in range(1, code.n + 1):
+    for every c and both definitions over alphabets of 2 to 16, and the
+    codes drawn include alphabets of 11 or more (hex digits in the packing)
+    and first witnesses of size 3 or more."""
+    seen = set()
+
+    @given(st.one_of(small_codes(), covered_codes()))
+    @settings(max_examples=400, deadline=None)
+    def check(code):
+        seen.add(("s >= 11", code.s >= 11))
         for definition in (UNA, CRD):
-            assert is_frameproof(code, c, definition) == frameproof_reference(
-                code, c, definition
-            )
+            for c in range(1, code.n + 1):
+                assert is_frameproof(code, c, definition) == frameproof_reference(
+                    code, c, definition
+                )
+            witness = is_frameproof(code, code.n, definition).witness
+            seen.add(("witness >= 3", witness is not None and len(witness.coalition) >= 3))
+
+    check()
+    assert {("s >= 11", True), ("witness >= 3", True)} <= seen
 
 
 def test_pre_pass_and_walk_match_reference_with_private_positions():
@@ -292,6 +326,33 @@ def test_pre_pass_keeps_unanimity_and_coordinate_sets_apart():
     assert is_frameproof(code, 2, CRD) == FrameproofVerdict(True)
 
 
+def frameproof_by_cover(code, c):
+    """Unanimity verdict, in the reference's order, as a cover question on
+    complemented one-hot sets: a word's set holds the (position, symbol)
+    pairs it does not show, and a coalition frames x exactly when x's set
+    lies inside the union of the members' sets.  At a position where the
+    members agree on a, their union misses only (position, a), so x's set
+    fits there iff x shows a; elsewhere the union is the whole alphabet."""
+    sets = [
+        {(p, a) for p, sym in enumerate(word) for a in range(code.s) if a != sym}
+        for word in code.codewords
+    ]
+    for size in range(1, min(c, code.n) + 1):
+        for coalition in itertools.combinations(range(code.n), size):
+            union = set().union(*(sets[i] for i in coalition))
+            for x in range(code.n):
+                if x not in coalition and sets[x] <= union:
+                    return FrameproofVerdict(False, FrameWitness(coalition, x))
+    return FrameproofVerdict(True)
+
+
+@given(st.one_of(small_codes(), covered_codes()))
+@settings(max_examples=200, deadline=None)
+def test_unanimity_is_a_cover_of_complemented_one_hot_sets(code):
+    for c in range(1, code.n + 1):
+        assert frameproof_by_cover(code, c) == frameproof_reference(code, c, UNA)
+
+
 @st.composite
 def relabelled_codes(draw):
     """A small code, and the same code with its positions permuted and its
@@ -340,7 +401,7 @@ def test_unanimity_frameproof_implies_coordinate_set_frameproof(code):
 @settings(max_examples=400, deadline=None)
 def test_min_distance_matches_reference(code):
     """Half the popcount of packed-word XORs is the symbol-by-symbol
-    minimum distance over alphabets of 2, 3 and 4."""
+    minimum distance over alphabets of 2 to 16."""
     assert min_distance(code) == min_distance_reference(code)
 
 
@@ -419,8 +480,6 @@ def test_monotonicity_in_c():
 
 
 def test_subcode_closure():
-    import itertools
-
     rng = random.Random(3)
     kept = 0
     while kept < 60:
@@ -436,8 +495,6 @@ def test_subcode_closure():
 
 def test_unanimity_contains_coordinate_set():
     rng = random.Random(4)
-    import itertools
-
     for _ in range(100):
         code = random_code(rng, n_max=3, l_max=5, s=3)
         for size in range(1, code.n + 1):
@@ -484,6 +541,21 @@ def test_parse_format_roundtrip():
     assert parse_code(format_code(code)) == code
     gamma = construct_identity_concat(3, 29, 26, 3)
     assert parse_code(format_code(gamma)) == gamma
+    hexa = Code(((10, 11, 12, 13, 14, 15), (15, 14, 13, 12, 11, 10), (0, 1, 2, 9, 10, 15)), 16)
+    assert format_code(hexa).splitlines()[1:] == ["abcdef", "fedcba", "0129af"]
+    assert parse_code(format_code(hexa)) == hexa
+
+
+def test_digit_table_packs_each_symbol_at_its_place_value():
+    """For every alphabet, a word that shows each symbol in both orders
+    packs to sum(sym * 2**(b*i)) with b = (s-1).bit_length(), computed
+    without the table; binary words do so under either definition."""
+    for s in range(2, MAX_ALPHABET + 1):
+        b = (s - 1).bit_length()
+        word = tuple(range(s)) + tuple(reversed(range(s)))
+        for definition in (UNA, CRD) if s == 2 else (UNA,):
+            keys, _ = fpcode._mask_test(Code((word,), s), definition)
+            assert keys == [sum(sym * 2 ** (b * i) for i, sym in enumerate(word))]
 
 
 def test_parse_comments_and_blanks():
