@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -50,8 +51,14 @@ Word = Tuple[int, ...]
 MAX_ALPHABET = 16
 
 _SYMBOLS = "0123456789abcdef"
-# symbol -> digit character: the one table for packing and for the text format
+# symbol -> digit character: the one table for packing and for writing words
 _DIGITS = bytes.maketrans(bytes(range(MAX_ALPHABET)), _SYMBOLS.encode())
+# and back, reading a digit in either case; any other character is refused
+_HEX = _SYMBOLS + _SYMBOLS[10:].upper()
+_VALUES = bytes.maketrans(
+    _HEX.encode(), bytes(range(MAX_ALPHABET)) + bytes(range(10, MAX_ALPHABET))
+)
+_NOT_A_SYMBOL = re.compile(f"[^{_HEX}]")
 
 
 class CodeFormatError(ValueError):
@@ -248,7 +255,8 @@ def weight_set(code: Code) -> set:
 def parse_code(text: str) -> Code:
     """Parse the code file format.
 
-    Lines hold equal-length words of symbols 0..s-1 (hex digits for s > 10);
+    Lines hold equal-length words of symbols 0..s-1 (hex digits, in either
+    case, for s > 10);
     '#' starts a comment and blank lines are ignored.  The alphabet size s
     is one more than the largest symbol present (minimum 2).
     """
@@ -258,18 +266,17 @@ def parse_code(text: str) -> Code:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        symbols = []
-        for ch in line:
-            if ch.lower() not in _SYMBOLS:
-                raise CodeFormatError(f"line {lineno}: invalid symbol {ch!r}")
-            symbols.append(int(ch, 16))
+        bad = _NOT_A_SYMBOL.search(line)
+        if bad:
+            raise CodeFormatError(f"line {lineno}: invalid symbol {bad.group()!r}")
+        symbols = tuple(line.encode().translate(_VALUES))
         if length is None:
             length = len(symbols)
         elif len(symbols) != length:
             raise CodeFormatError(
                 f"line {lineno}: length {len(symbols)} differs from previous {length}"
             )
-        rows.append(tuple(symbols))
+        rows.append(symbols)
     if not rows:
         raise CodeFormatError("no codewords found")
     s = max(2, max(max(w) for w in rows) + 1)

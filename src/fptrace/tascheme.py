@@ -17,14 +17,20 @@ sharing fewer than ceil(k/|C|) keys with the coalition's union; for the rest,
 each overlap depends only on how many keys the pirate takes from each
 signature class (the members holding a key, and whether the outsider does),
 so count vectors over at most 2(2^|C| - 1) classes replace the C(|union|, k)
-pirates.  The exact search shares the frame-proof verifier's step budget,
+pirates.  Before any coalition is formed, one fold over the key masks finds
+the keys that two or more decoders hold; a decoder holding fewer than
+ceil(k/min(c, n)) of them is a rival of no coalition, so the cut tests only
+the other, live decoders, and a scheme with none is traceable without a
+walk.  The exact search shares the frame-proof verifier's step budget,
 read from ``rigor.DEFAULT_STEP_BUDGET`` when it runs: one step per pair
 test, plus one per count vector, and ``BudgetExceededError`` past it.
 
-The sampler applies the same cut to each drawn coalition, and stops once
-every coalition has been drawn without a rival; its draws, and so its seeded
-verdicts, are those of tracing every trial.  It shares the step budget too:
-each cut it builds tests all n decoders, one step each.
+The sampler makes the same fold and draws nothing when no decoder is live;
+otherwise it applies the same cut to each drawn coalition, and stops once
+every coalition has been drawn without a rival.  Its draws, and so its
+seeded verdicts, are those of tracing every trial.  It shares the step
+budget too: each cut it may build counts n steps, one per decoder, whether
+or not the fold leaves it live.
 """
 
 from __future__ import annotations
@@ -157,18 +163,34 @@ def _key_union(scheme: KeyScheme, coalition: Tuple[int, ...]) -> list:
     return sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
 
 
-def _coalition_cut(masks: Tuple[int, ...], coalition: Tuple[int, ...], k: int):
+def _live_outsiders(masks: Tuple[int, ...], k: int, top: int) -> list:
+    """The decoders that may be a rival of some coalition of at most ``top``
+    members: those holding at least ceil(k/top) keys that another decoder
+    also holds.  A coalition that leaves u out shares with u only such keys,
+    and its floor ceil(k/|C|) is at least ceil(k/top), so any other decoder
+    is a rival of no coalition.  One fold finds the keys held more than
+    once."""
+    once = shared = 0
+    for mask in masks:
+        shared |= once & mask
+        once |= mask
+    floor = -(-k // top)
+    return [u for u, mask in enumerate(masks) if (mask & shared).bit_count() >= floor]
+
+
+def _coalition_cut(masks: Tuple[int, ...], coalition: Tuple[int, ...], k: int, live: list):
     """The coalition's key-union mask and its rivals: the outsiders sharing
     at least ceil(k/|C|) keys with the union.  A pirate's k keys come from
     the |C| members, so some member overlaps it in at least that many keys,
-    and no other outsider can tie it."""
+    and no other outsider can tie it.  Only the ``live`` decoders of
+    :func:`_live_outsiders` are tested; no other can be a rival."""
     union = 0
     for i in coalition:
         union |= masks[i]
     floor = -(-k // len(coalition))
     members = set(coalition)
     rivals = [
-        u for u in range(len(masks))
+        u for u in live
         if u not in members and (masks[u] & union).bit_count() >= floor
     ]
     return union, rivals
@@ -182,20 +204,23 @@ def is_traceable_exact(scheme: KeyScheme, c: int) -> TAVerdict:
     A pair is skipped when u shares fewer than ceil(k/|C|) keys with the
     union, because some member overlaps every pirate at least that much;
     otherwise a search over count vectors of the pair's signature classes
-    decides it.  Coalitions are walked by :func:`rigor.coalitions`.  The
-    witness is the first violating coalition, its lexicographically first
-    violating pirate (built key by key) and that pirate's smallest outside
-    maximum-overlap decoder: what enumerating the pirates in order would
-    report first.  A step is one pair test or one count vector; the walk
-    refuses up front when the pair tests alone exceed
+    decides it.  Only the decoders that :func:`_live_outsiders` leaves are
+    tested, and with none left the verdict is CertifiedTrue without a walk.
+    Coalitions are walked by :func:`rigor.coalitions`.  The witness is the
+    first violating coalition, its lexicographically first violating pirate
+    (built key by key) and that pirate's smallest outside maximum-overlap
+    decoder: what enumerating the pirates in order would report first.  A
+    step is one pair test or one count vector; the walk refuses up front,
+    before the fold, when the full walk's pair tests alone exceed
     ``rigor.DEFAULT_STEP_BUDGET``, and ``BudgetExceededError`` is raised
     mid-search when the count vectors take the total past it.
     """
     pair_tests, walk = coalitions(scheme.n, c)
     masks, k = scheme._masks, scheme.k
+    live = _live_outsiders(masks, k, min(c, scheme.n))
     search = _PairSearch(masks, k, pair_tests)
-    for coalition in walk:
-        union, rivals = _coalition_cut(masks, coalition, k)
+    for coalition in walk if live else ():
+        union, rivals = _coalition_cut(masks, coalition, k, live)
         if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
             pirate = search.first_pirate(
                 coalition, rivals, union, _key_union(scheme, coalition)
@@ -349,9 +374,11 @@ def sample_traceability(
     of that size, then a uniform k-subset of the coalition's sorted key
     union.  Only a rival, an outsider sharing at least ceil(k/|C|) keys with
     the union, can tie a pirate, so a pirate is traced only when a rival
-    reaches the best member overlap.  With no more coalitions than trials,
-    each coalition's cut is kept, and drawing stops once every coalition has
-    been drawn and none has a rival: no later trial could violate.  Neither
+    reaches the best member overlap.  Only the decoders that
+    :func:`_live_outsiders` leaves can be rivals; with none, no trial could
+    violate and none is drawn.  With no more coalitions than trials, each
+    coalition's cut is kept, and drawing stops once every coalition has been
+    drawn and none has a rival: no later trial could violate.  None of this
     changes the draws before a violation or their order, so the verdict is
     that of tracing every trial.  A rival at or above the best member
     overlap is always a maximum-overlap decoder, so the witness comes from
@@ -359,7 +386,7 @@ def sample_traceability(
     Sampling can only certify falsehood; with no violation found the
     verdict stays Unresolved.  It builds at most min(trials, coalitions)
     cuts of n steps each, refused up front by
-    :func:`rigor.refuse_over_budget`.
+    :func:`rigor.refuse_over_budget` before the fold.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
@@ -380,13 +407,14 @@ def sample_traceability(
             break
     keep = total <= trials
     refuse_over_budget("sampling", min(trials, total) * n)
+    live = _live_outsiders(masks, k, top)
     cuts: dict = {}
-    for t in range(trials):
+    for t in range(trials if live else 0):
         size = rng.randint(2, top)
         coalition = tuple(sorted(rng.sample(range(n), size)))
         cut = cuts.get(coalition)
         if cut is None:
-            cut = _key_union(scheme, coalition), _coalition_cut(masks, coalition, k)[1]
+            cut = _key_union(scheme, coalition), _coalition_cut(masks, coalition, k, live)[1]
             if keep:
                 cuts[coalition] = cut
                 if len(cuts) == total and not any(rivals for _, rivals in cuts.values()):

@@ -575,19 +575,41 @@ def test_parse_errors_carry_line_numbers():
         parse_code("01\n01\n")  # duplicate codewords
 
 
+def test_parse_reads_hex_digits_in_either_case_and_nothing_else():
+    assert parse_code("A0\n0a\nfF") == Code(((10, 0), (0, 10), (15, 15)), 16)
+    for text, message in (
+        ("01\n1٣\n", "line 2: invalid symbol '٣'"),  # ARABIC-INDIC DIGIT THREE
+        ("0 1\n", "line 1: invalid symbol ' '"),
+        ("0g1\n", "line 1: invalid symbol 'g'"),
+        ("01\n1x0y\n", "line 2: invalid symbol 'x'"),
+    ):
+        with pytest.raises(CodeFormatError) as refused:
+            parse_code(text)
+        assert str(refused.value) == message
+
+
 @given(
     st.one_of(
         st.text(),
-        st.text(alphabet="0123456789abcdefABCDEFgx #\t\r\n", max_size=120),
+        st.text(alphabet="0123456789abcdefABCDEFgx٣ #\t\r\n", max_size=120),
     ),
 )
 @settings(max_examples=600, deadline=None)
 def test_parse_code_raises_only_format_errors(text):
-    """Arbitrary text either parses or is refused with CodeFormatError."""
+    """Arbitrary text either parses or is refused with CodeFormatError.  A
+    parsed word is its line read one hex digit at a time, and a refused
+    symbol is the first character of its line that is not a hex digit."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
     try:
-        parse_code(text)
-    except CodeFormatError:
-        pass
+        code = parse_code(text)
+    except CodeFormatError as exc:
+        lineno, _, reason = str(exc).partition(": ")
+        if reason.startswith("invalid symbol"):
+            line = lines[int(lineno.removeprefix("line ")) - 1]
+            first = next(ch for ch in line if ch.lower() not in "0123456789abcdef")
+            assert reason == f"invalid symbol {first!r}"
+        return
+    assert code.codewords == tuple(tuple(int(ch, 16) for ch in line) for line in lines if line)
 
 
 def test_code_validation():

@@ -344,13 +344,14 @@ def test_sampling_triangle_finds_witness():
 def test_sampling_recheck_rejects_wrong_outsider(monkeypatch):
     """The recheck is a real check, so it also holds under ``python -O``.
     A cut that reports the members as rivals passes every trial's pirate
-    on, and no outsider of a disjoint scheme ever ties, so the first
-    recheck must fail."""
+    on, and no outsider of the sunflower ever ties a pair's pirate, so the
+    first recheck must fail.  Every sunflower decoder holds the shared key
+    0, so the fold leaves all of them live and the cut is reached."""
     monkeypatch.setattr(
-        tascheme, "_coalition_cut", lambda masks, coalition, k: (0, list(coalition))
+        tascheme, "_coalition_cut", lambda masks, coalition, k, live: (0, list(coalition))
     )
     with pytest.raises(RuntimeError, match="failed its recheck"):
-        sample_traceability(make_disjoint_scheme(6, 3, 2), 2, 10, 1)
+        sample_traceability(keyed(4, (0, 1), (0, 2), (0, 3)), 2, 10, 1)
 
 
 def test_exact_recheck_rejects_untied_pirate(monkeypatch):
@@ -451,6 +452,64 @@ def test_sampled_refutations_are_exact_refutations(case):
         assert outsider in trace(scheme, pirate).argmax_decoders
 
 
+# Decoder 0 shares one key with each of the other three, which share no key
+# among themselves: at k = 6 and c = 2 the fold leaves decoder 0 live (three
+# of its keys are held twice, ceil(6/2) = 3), but a pair of the others covers
+# only two of them, so no coalition has a rival.
+THREE_PETALS = keyed(
+    21, range(6), (0, 6, 7, 8, 9, 10), (1, 11, 12, 13, 14, 15), (2, 16, 17, 18, 19, 20)
+)
+
+
+@given(st.one_of(small_schemes(), sampled_schemes().map(lambda case: case[:2])))
+@settings(max_examples=300, deadline=None)
+def test_dropped_decoders_are_rivals_of_no_coalition(case):
+    """Every decoder that the fold drops shares fewer than ceil(k/|C|) keys
+    with the key union of each coalition of 2 to min(c, n) other decoders,
+    counted from the key sets."""
+    scheme, c = case
+    top = min(c, scheme.n)
+    live = tascheme._live_outsiders(scheme._masks, scheme.k, top)
+    for u in set(range(scheme.n)) - set(live):
+        others = [i for i in range(scheme.n) if i != u]
+        for size in range(2, top + 1):
+            for coalition in itertools.combinations(others, size):
+                union = set().union(*(scheme.decoders[i] for i in coalition))
+                assert len(scheme.decoders[u] & union) < -(-scheme.k // size)
+
+
+def test_exact_without_live_decoders_walks_no_coalition(monkeypatch):
+    """400 one-key decoders share no key, so none is live: at c = 2 the
+    verdict needs none of the 31,760,400 pair tests."""
+    def walked(*args):
+        raise AssertionError("a coalition was cut")
+
+    monkeypatch.setattr(tascheme, "_coalition_cut", walked)
+    verdict = is_traceable_exact(make_disjoint_scheme(400, 400, 1), 2)
+    assert verdict == TAVerdict(Certainty.true(), detail="exhaustive search found no violation")
+
+
+# Decoders 1 and 2 each hold two keys that another decoder holds, fewer than
+# ceil(6/2) = 3, so only decoder 0 is live; together they hold four of its
+# keys, and the pirate {0, 1, 2, 3, 6, 7} ties it with decoder 1.
+LONE_LIVE = keyed(14, range(6), (0, 1, 6, 7, 8, 9), (2, 3, 10, 11, 12, 13))
+
+
+@pytest.mark.parametrize("scheme, exact, sampled", [
+    (THREE_PETALS, "exhaustive search found no violation", "0 violations in 100 trials (seed 0)"),
+    (LONE_LIVE, "exhaustive search found a tracing violation",
+     "violation at trial 14 of 100 (seed 0)"),
+])
+def test_a_lone_live_decoder_is_still_walked(scheme, exact, sampled):
+    """One live decoder is enough for a walk: it may or may not be a
+    coalition's rival, and both verifiers agree with their references."""
+    assert tascheme._live_outsiders(scheme._masks, scheme.k, 2) == [0]
+    verdict = is_traceable_exact(scheme, 2)
+    assert verdict == traceable_exact_reference(scheme, 2) and verdict.detail == exact
+    drawn = sample_traceability(scheme, 2, 100, 0)
+    assert drawn == sample_traceability_reference(scheme, 2, 100, 0) and drawn.detail == sampled
+
+
 def counted_draws(monkeypatch, module, run):
     """The verdict of ``run()`` and the number of ``randint`` and ``sample``
     calls it made, with ``module.random.Random`` replaced by a counting
@@ -478,15 +537,23 @@ def counted_draws(monkeypatch, module, run):
 
 
 def test_sampling_draw_counts(monkeypatch):
-    """The coverage stop ends a rival-free scheme's draws once every
-    coalition has been drawn; a scheme with a rival makes every draw that
-    tracing each trial makes."""
+    """A scheme with no live decoder makes no draw; the coverage stop ends
+    the draws of a scheme whose live decoder is no coalition's rival once
+    every coalition has been drawn; a scheme with a rival makes every draw
+    that tracing each trial makes."""
     disjoint = make_disjoint_scheme(256, 8, 32)
     verdict, draws = counted_draws(
         monkeypatch, tascheme, lambda: sample_traceability(disjoint, 4, 10**6, 42)
     )
     assert verdict.detail == "0 violations in 1000000 trials (seed 42)"
-    assert draws < 10**4
+    assert draws == 0
+    assert tascheme._live_outsiders(THREE_PETALS._masks, THREE_PETALS.k, 2) == [0]
+    verdict, draws = counted_draws(
+        monkeypatch, tascheme, lambda: sample_traceability(THREE_PETALS, 2, 1000, 7)
+    )
+    assert verdict == sample_traceability_reference(THREE_PETALS, 2, 1000, 7)
+    assert verdict.detail == "0 violations in 1000 trials (seed 7)"
+    assert 0 < draws < 3 * 1000
     # the sunflower's coalition (0, 1) has the rival 2, which never ties
     sunflower = keyed(4, (0, 1), (0, 2), (0, 3))
     verdict, draws = counted_draws(
