@@ -119,13 +119,6 @@ class FrameproofVerdict:
     witness: Optional[FrameWitness] = None
 
 
-def _one_hot_keys(code: Code) -> list:
-    """Codewords as ints with one bit per (position, symbol): bit s*i + sym
-    is set iff position i holds sym."""
-    digits = [format(1 << sym, f"0{code.s}b") for sym in range(code.s)]
-    return [int("".join(digits[sym] for sym in reversed(w)), 2) for w in code.codewords]
-
-
 def _mask_test(code: Code, definition: FeasibleDefinition):
     """Codewords as ints, and a map from the AND and OR of a word set's keys
     to (mask, target) such that outsider x is in the set's feasible set iff
@@ -133,13 +126,15 @@ def _mask_test(code: Code, definition: FeasibleDefinition):
 
     Unanimity packs b = (s-1).bit_length() bits per position, symbol sym at
     bits b*i and up, and ``mask`` pins the positions where the AND and OR
-    agree.  Coordinate sets with s > 2 pack one bit per (position, symbol),
-    and ``mask`` is the complement of the OR.
+    agree.  Coordinate sets with s > 2 set bit s*i + sym iff position i
+    holds sym, and ``mask`` is the complement of the OR.
     """
     s, length = code.s, code.length
     if definition is FeasibleDefinition.COORDINATE_SET and s > 2:
+        digits = [format(1 << sym, f"0{s}b") for sym in range(s)]
+        keys = [int("".join(digits[sym] for sym in reversed(w)), 2) for w in code.codewords]
         full = (1 << (s * length)) - 1
-        return _one_hot_keys(code), lambda conj, disj: (full ^ disj, 0)
+        return keys, lambda conj, disj: (full ^ disj, 0)
 
     b = (s - 1).bit_length()
     keys = [int(bytes(reversed(w)).translate(_DIGITS), 1 << b) for w in code.codewords]
@@ -230,16 +225,18 @@ def construct_identity_concat(
 def min_distance(code: Code) -> int:
     """Exact minimum pairwise Hamming distance; needs n >= 2.
 
-    On one-hot packed words a differing position sets exactly two bits of
-    the XOR, so the distance is half its popcount.  Each of the C(n, 2)
-    pairs is one step of the shared budget, refused up front by
+    Words are packed as the coordinate-set test packs them: one bit per
+    position when s = 2, so a differing position sets one bit of the XOR,
+    and one-hot when s > 2, so it sets two.  Each of the C(n, 2) pairs is
+    one step of the shared budget, refused up front by
     :func:`rigor.refuse_over_budget`.
     """
     if code.n < 2:
         raise DomainError("minimum distance needs at least two codewords")
     refuse_over_budget("minimum distance", math.comb(code.n, 2))
-    keys = _one_hot_keys(code)
-    return min((u ^ v).bit_count() for u, v in itertools.combinations(keys, 2)) // 2
+    keys, _ = _mask_test(code, FeasibleDefinition.COORDINATE_SET)
+    bits = min((u ^ v).bit_count() for u, v in itertools.combinations(keys, 2))
+    return bits // 2 if code.s > 2 else bits
 
 
 def weight_set(code: Code) -> set:

@@ -158,11 +158,6 @@ def _tie_witness(scheme: KeyScheme, coalition: Tuple[int, ...], pirate) -> TAWit
     )
 
 
-def _key_union(scheme: KeyScheme, coalition: Tuple[int, ...]) -> list:
-    """The sorted keys held by some member of the coalition."""
-    return sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
-
-
 def _live_outsiders(masks: Tuple[int, ...], k: int, top: int) -> list:
     """The decoders that may be a rival of some coalition of at most ``top``
     members: those holding at least ceil(k/top) keys that another decoder
@@ -222,9 +217,7 @@ def is_traceable_exact(scheme: KeyScheme, c: int) -> TAVerdict:
     for coalition in walk if live else ():
         union, rivals = _coalition_cut(masks, coalition, k, live)
         if any(search.can_tie(coalition, masks[u], 0, union, k) for u in rivals):
-            pirate = search.first_pirate(
-                coalition, rivals, union, _key_union(scheme, coalition)
-            )
+            pirate = search.first_pirate(coalition, rivals, union)
             return TAVerdict(
                 Certainty.false(),
                 _tie_witness(scheme, coalition, pirate),
@@ -316,21 +309,22 @@ class _PairSearch:
 
         return fill(0, want, caps)
 
-    def first_pirate(self, coalition, rivals, union: int, keys: list) -> Tuple[int, ...]:
-        """The lexicographically first k keys of ``union`` (whose keys, in
-        increasing order, are ``keys``) that some rival ties: k times, the
-        smallest next key after which a tying completion still exists."""
-        pirate, fixed, start = [], 0, 0
+    def first_pirate(self, coalition, rivals, union: int) -> Tuple[int, ...]:
+        """The lexicographically first k keys of the key mask ``union`` that
+        some rival ties: k times, the smallest next key after which a tying
+        completion still exists.  The candidates are the union's bits from
+        the lowest up; ``above`` holds those past the current one."""
+        pirate, fixed, above = [], 0, union
         for need in range(self.k - 1, -1, -1):
-            for at in range(start, len(keys)):
-                trial = fixed | 1 << keys[at]
-                avail = union >> keys[at] + 1 << keys[at] + 1
-                if any(self.can_tie(coalition, self.masks[u], trial, avail, need) for u in rivals):
+            while above:
+                key = above & -above
+                above ^= key
+                if any(self.can_tie(coalition, self.masks[u], fixed | key, above, need) for u in rivals):
                     break
             else:
                 raise RuntimeError(f"no tying completion of pirate prefix {pirate}")
-            pirate.append(keys[at])
-            fixed, start = trial, at + 1
+            pirate.append(key.bit_length() - 1)
+            fixed |= key
         return tuple(pirate)
 
 
@@ -340,21 +334,22 @@ def is_traceable_structural_disjoint(scheme: KeyScheme, c: int) -> TAVerdict:
     Any pirate's k keys come from at most c member decoders, so some member
     overlaps at least ceil(k/c) >= 1, while disjointness gives every outsider
     overlap 0.  The argument does not depend on c, so any c >= 1 certifies.
+
+    One fold, :func:`_live_outsiders` at threshold 1, finds the decoders
+    holding a key that another decoder holds.  The first of them opens the
+    lexicographically first sharing pair (an earlier holder of its key
+    would be found too), which the refusal names with its smallest key.
     """
     if c < 1:
         raise DomainError("coalition bound c must be >= 1")
-    # Each key's first owner, and every (first owner, later owner) pair; the
-    # smallest such pair is the lexicographically first pair sharing a key.
-    first, clashes = {}, []
-    for j, d in enumerate(scheme.decoders):
-        for key in d:
-            i = first.setdefault(key, j)
-            if i != j:
-                clashes.append((i, j))
-    if clashes:
-        i, j = min(clashes)
+    masks = scheme._masks
+    sharing = _live_outsiders(masks, 1, 1)
+    if sharing:
+        i = sharing[0]
+        j = next(j for j in sharing[1:] if masks[i] & masks[j])
+        both = masks[i] & masks[j]
         raise DomainError(
-            f"decoders {i} and {j} share key {min(scheme.decoders[i] & scheme.decoders[j])}; "
+            f"decoders {i} and {j} share key {(both & -both).bit_length() - 1}; "
             "the structural argument needs pairwise-disjoint decoders"
         )
     return TAVerdict(
@@ -414,7 +409,8 @@ def sample_traceability(
         coalition = tuple(sorted(rng.sample(range(n), size)))
         cut = cuts.get(coalition)
         if cut is None:
-            cut = _key_union(scheme, coalition), _coalition_cut(masks, coalition, k, live)[1]
+            keys = sorted(frozenset().union(*(scheme.decoders[i] for i in coalition)))
+            cut = keys, _coalition_cut(masks, coalition, k, live)[1]
             if keep:
                 cuts[coalition] = cut
                 if len(cuts) == total and not any(rivals for _, rivals in cuts.values()):

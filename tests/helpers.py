@@ -11,8 +11,8 @@ the library's packed-word and closed-form versions replaced, and the exact
 traceability reference enumerates every pirate instead of searching count
 vectors per (coalition, outsider) pair.  The pack reference tries every
 count vector that the pair search's pruned fill would cut.  The structural
-reference intersects every pair of decoders instead of mapping each key to
-its owners.  The sampling reference traces every drawn pirate instead of only
+reference intersects every pair of decoders instead of folding the key
+masks once.  The sampling reference traces every drawn pirate instead of only
 those a rival can tie, and both find the violating outsider by scanning
 :func:`trace`'s argmax themselves.  The sigma reference encloses the square
 root of the radical side by an integer-root bracket and compares it by

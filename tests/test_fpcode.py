@@ -400,8 +400,8 @@ def test_unanimity_frameproof_implies_coordinate_set_frameproof(code):
 @given(small_codes().filter(lambda code: code.n >= 2))
 @settings(max_examples=400, deadline=None)
 def test_min_distance_matches_reference(code):
-    """Half the popcount of packed-word XORs is the symbol-by-symbol
-    minimum distance over alphabets of 2 to 16."""
+    """The popcount of packed-word XORs, halved on one-hot words, is the
+    symbol-by-symbol minimum distance over alphabets of 2 to 16."""
     assert min_distance(code) == min_distance_reference(code)
 
 

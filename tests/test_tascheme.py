@@ -115,6 +115,15 @@ def test_exact_triangle_false_with_witness():
     assert w.outsider == 2
 
 
+def test_exact_witness_from_keys_past_the_first_mask_word():
+    """The pirate walk reads the union's bits above bit 63: the triangle
+    moved to keys 100..102 gives the same witness, shifted."""
+    scheme = keyed(103, (100, 101), (101, 102), (100, 102))
+    verdict = is_traceable_exact(scheme, 2)
+    assert verdict.witness == TAWitness((0, 1), (100, 102), 2)
+    assert verdict == traceable_exact_reference(scheme, 2)
+
+
 def test_exact_c1_true_for_distinct_decoders():
     rng = random.Random(6)
     for _ in range(100):
@@ -279,6 +288,20 @@ def test_structural_rejects_shared_key():
     shared = KeyScheme(4, (frozenset({0, 1}), frozenset({1, 2})))
     with pytest.raises(DomainError, match="share"):
         is_traceable_structural_disjoint(shared, 2)
+
+
+def test_structural_refuses_the_first_sharing_pair_not_the_smallest_key():
+    """Decoders 0 and 2 share key 5; the smallest shared key, 0, belongs
+    to the later pair (1, 2)."""
+    scheme = keyed(8, (5, 6), (0, 7), (0, 5))
+    message = (
+        "decoders 0 and 2 share key 5; "
+        "the structural argument needs pairwise-disjoint decoders"
+    )
+    for verify in (is_traceable_structural_disjoint, structural_disjoint_reference):
+        with pytest.raises(DomainError) as refusal:
+            verify(scheme, 2)
+        assert str(refusal.value) == message
 
 
 @st.composite
