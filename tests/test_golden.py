@@ -1,8 +1,8 @@
 """Golden CLI outputs: every README command, plus a certified-false bound
 report, a near tie that enclosures leave unresolved at 4096 bits and the
 exact power comparison certifies, one whose sigma constraint is an exact
-tie, and scans at 1024 and 2 bits, in text and JSON, reproduced byte for
-byte.
+tie, an entropy and scans at 4096, 1024 and 2 bits, in text and JSON,
+reproduced byte for byte.
 
 The files under ``tests/golden/`` are ``<name>.txt`` and ``<name>.json``.
 They were written once, before the certification core was refactored (the
@@ -43,6 +43,8 @@ GOLDEN = {
     "scan_thm10": ["scan", "--mode", "thm10", "--wmax", "64", "--cmax", "64"],
     "scan_thm11": ["scan", "--mode", "thm11", "--wmax", "64", "--cmax", "64"],
     "entropy_1_16": ["entropy", "1/16", "--precision-bits", "40"],
+    # 4096-bit endpoints pin every digit of the series kernel's output
+    "entropy_4096b": ["entropy", "1/3", "--precision-bits", "4096"],
     "fixtures_list": ["fixtures", "list"],
     "fixtures_emit_gamma64": ["fixtures", "emit", "gamma64"],
     # upper > lower: the contradiction is CertifiedFalse
@@ -62,6 +64,8 @@ GOLDEN = {
     # a direct window's upper (even w: (w/2)*a = w*a/2)
     "scan_thm11_small": ["scan", "--mode", "thm11", "--wmax", "5", "--cmax", "19",
                          "--precision-bits", "2"],
+    "scan_thm11_small_4096b": ["scan", "--mode", "thm11", "--wmax", "5", "--cmax", "19",
+                               "--precision-bits", "4096"],
 }
 
 FORMATS = ("text", "json")
