@@ -330,24 +330,33 @@ def _atanh_dyadic(z: Fraction, w: int) -> Tuple[int, int]:
     Every multiplication and division rounds down on the lower track and up
     on the upper track; the dropped series tail is covered by one final ulp
     (the geometric tail is below half an ulp at the break point).
+
+    The upper track is carried as its excess e over the lower term p, a few
+    units, and z^2 as zz and zz + dz with dz in 0..2, so each term makes one
+    wide product: (p + e)(zz + dz) = p*zz + p*dz + e*(zz + dz).
     """
     if z < 0 or 2 * z > 1:
         raise DomainError("series argument out of range")
     z_lo, z_hi = _scale_floor(z, w), _scale_ceil(z, w)
-    zz_lo = (z_lo * z_lo) >> w
-    zz_hi = _ceil_div(z_hi * z_hi, 1 << w)
-    p_lo, p_hi = z_lo, z_hi
+    zz = (z_lo * z_lo) >> w
+    zz_hi = -(-z_hi * z_hi >> w)
+    dz = zz_hi - zz
+    low = (1 << w) - 1
+    p, e = z_lo, z_hi - z_lo
     s_lo = s_hi = 0
     k = 0
     while True:
         d = 2 * k + 1
-        s_lo += p_lo // d
-        s_hi += _ceil_div(p_hi, d)
-        p_lo = (p_lo * zz_lo) >> w
-        p_hi = _ceil_div(p_hi * zz_hi, 1 << w)
+        q, r = divmod(p, d)
+        s_lo += q
+        s_hi += q + _ceil_div(r + e, d)
+        prod = p * zz
+        # ceil((prod + p*dz + e*zz_hi) / 2^w) - floor(prod / 2^w)
+        e = -(-((prod & low) + p * dz + e * zz_hi) >> w)
+        p = prod >> w
         k += 1
-        # tail <= z^(2k+1)/((2k+1)(1-z^2)) <= 2*p_hi/(2k+1), one scaled ulp
-        if 2 * p_hi < 2 * k + 1:
+        # tail <= z^(2k+1)/((2k+1)(1-z^2)) <= 2*(p + e)/(2k+1), one scaled ulp
+        if 2 * (p + e) < 2 * k + 1:
             s_hi += 1
             break
     return s_lo, s_hi

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: the log2
 oracle extracts binary digits by exact rational squaring (long division of
-the exponent), the binomial oracles use the product formula and the Pascal
+the exponent), the atanh reference carries both of the series kernel's
+tracks at full width where the library carries the upper one as a small
+excess, the binomial oracles use the product formula and the Pascal
 recurrence, and the frame-proof oracles decide position by position on
 feasible patterns or by full feasible-set enumeration instead of the
 library's integer mask tests.  The minimum-distance and candidate-filter
@@ -117,6 +119,32 @@ def log2_bit_expansion(x: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
             den <<= 1
     scale = Fraction(1, 2**bits)
     return e + frac * scale, e + (frac + 1) * scale
+
+
+def atanh_two_track_reference(z: Fraction, w: int) -> Tuple[int, int]:
+    """The directed-rounding atanh series with both tracks at full width:
+    each term makes two wide products, and rounds the upper one up by a wide
+    division.  Same contract, roundings and stop rule as
+    :func:`fptrace.rigor._atanh_dyadic`, whose results must equal these.
+    """
+    z_lo = (z.numerator << w) // z.denominator
+    z_hi = -(-(z.numerator << w) // z.denominator)
+    zz_lo = (z_lo * z_lo) >> w
+    zz_hi = -(-(z_hi * z_hi) // (1 << w))
+    p_lo, p_hi = z_lo, z_hi
+    s_lo = s_hi = 0
+    k = 0
+    while True:
+        d = 2 * k + 1
+        s_lo += p_lo // d
+        s_hi += -(-p_hi // d)
+        p_lo = (p_lo * zz_lo) >> w
+        p_hi = -(-(p_hi * zz_hi) // (1 << w))
+        k += 1
+        if 2 * p_hi < 2 * k + 1:
+            s_hi += 1
+            break
+    return s_lo, s_hi
 
 
 def binom_product(n: int, k: int) -> int:

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fptrace import rigor
 from fptrace.rigor import (
     Certainty,
     DomainError,
@@ -18,9 +19,15 @@ from fptrace.rigor import (
     floor_log2,
     log2_e_enclosure,
     log2_enclosure,
+    _atanh_dyadic,
 )
 
-from tests.helpers import binom_product, log2_bit_expansion, pascal_table
+from tests.helpers import (
+    atanh_two_track_reference,
+    binom_product,
+    log2_bit_expansion,
+    pascal_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,79 @@ def test_enclosure_endpoints_pinned():
     assert log2_e_enclosure(64) == dyadic(
         1744111284760651037637849, 80, 872055642380325518818977, 79
     )
+
+
+# ---------------------------------------------------------------------------
+# atanh series kernel
+# ---------------------------------------------------------------------------
+
+
+# denominators spread evenly over 1 to 80 bits; drawn whole, most are tiny
+_denominators = st.integers(0, 79).flatmap(lambda b: st.integers(1 << b, (1 << (b + 1)) - 1))
+_series_arguments = _denominators.flatmap(
+    lambda den: st.integers(0, den // 2).map(lambda n: F(n, den))
+)
+
+
+@given(_series_arguments, st.integers(1, 600))
+@example(F(0), 1)
+@example(F(1, 2), 1)
+@example(F(1, 2), 600)
+@example(F(5, 14), 4)  # the excess times dz moves an upper rounding here
+@settings(max_examples=300, deadline=None)
+def test_atanh_kernel_matches_two_track_reference(z, w):
+    assert _atanh_dyadic(z, w) == atanh_two_track_reference(z, w)
+
+
+def _mantissa_argument(seed):
+    """z = (m - 1)/(m + 1) for a random 64-bit mantissa m in [1, 2), the
+    argument that a log2 enclosure hands the series."""
+    m = 1 + F(random.Random(seed).getrandbits(64), 2**64)
+    return (m - 1) / (m + 1)
+
+
+@pytest.mark.parametrize("w", [1040, 2064, 4112])
+@pytest.mark.parametrize("z", [F(1, 3), _mantissa_argument(1), _mantissa_argument(2)])
+def test_atanh_kernel_matches_two_track_reference_wide(z, w):
+    """The working precisions of 1024-, 2048- and 4096-bit log2 enclosures;
+    z = 1/3 is the argument of ln 2."""
+    assert _atanh_dyadic(z, w) == atanh_two_track_reference(z, w)
+
+
+@pytest.mark.parametrize("bits", [1, 64, 1024, 4096, 4160])
+def test_one_series_evaluation_per_enclosure(bits, monkeypatch):
+    """Each log2, entropy and log2 e enclosure evaluates its dyadic bounds
+    once: the start precision already meets the width, so the doubling loop
+    in ``_dyadic_enclosure`` never runs a second, 8x dearer pass.  4160 is
+    the precision cap plus 64 guard bits, more than any caller adds."""
+    enclosures = evaluations = 0
+    dyadic_enclosure = rigor._dyadic_enclosure
+
+    def counting(bounds, w, precision_bits):
+        nonlocal enclosures
+        enclosures += 1
+
+        def counted(w):
+            nonlocal evaluations
+            evaluations += 1
+            return bounds(w)
+
+        return dyadic_enclosure(counted, w, precision_bits)
+
+    monkeypatch.setattr(rigor, "_dyadic_enclosure", counting)
+    for cached in (
+        rigor._log2_enclosure_cached,
+        rigor._entropy_enclosure_cached,
+        rigor._log2_e_cached,
+    ):
+        cached.cache_clear()
+    for x in (F(3), F(10), F(7, 5), F(1000), F(1, 1000), F(2**100 + 1), F(99, 100)):
+        log2_enclosure(x, bits)
+    for p in (F(1, 3), F(7, 10), F(1, 1000), F(1, 19)):
+        entropy_enclosure(p, bits)
+    log2_e_enclosure(bits)
+    assert enclosures == 16
+    assert evaluations == enclosures
 
 
 # ---------------------------------------------------------------------------
