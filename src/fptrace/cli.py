@@ -262,8 +262,6 @@ def cmd_bounds(args) -> int:
         )
         rep = bounds_mod.contradiction_report_thm6(params, args.s, args.precision_bits)
     else:
-        if args.k is None:
-            raise CliError("thm7 needs --k")
         params = bounds_mod.Thm7Params(
             q=args.q, delta=args.delta, c=args.c, sigma=sigma,
             l=args.l, k=args.k,
@@ -376,7 +374,8 @@ def cmd_entropy(args) -> int:
 
 def cmd_fixtures(args) -> int:
     if args.action == "list":
-        rows = [(name, fixtures.describe(name)) for name in fixtures.fixture_names()]
+        rows = [(name, fixtures.emit(name).split("\n", 1)[0].removeprefix("# "))
+                for name in fixtures.fixture_names()]
         report = {
             "command": "fixtures",
             "action": "list",
@@ -384,8 +383,6 @@ def cmd_fixtures(args) -> int:
         }
         _emit(report, lambda: [f"{n:<20s} {s}" for n, s in rows], args.format)
         return 0
-    if args.name is None:
-        raise CliError("fixtures emit needs a fixture name")
     try:
         text = fixtures.emit(args.name)
     except KeyError:
@@ -433,16 +430,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_ta)
 
     p = sub.add_parser("bounds", help="certified bound contradiction reports")
-    p.add_argument("which", choices=("thm6", "thm7"))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--sigma", required=True, help="exact rational, e.g. 7/64")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="keys per decoder (thm7)")
-    p.add_argument("--s", type=int, default=2, help="alphabet size (thm6)")
-    add_common(p, precision=True)
     p.set_defaults(func=cmd_bounds)
+    theorems = p.add_subparsers(dest="which", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag in ("--q", "--delta", "--c", "--l"):
+        shared.add_argument(flag, type=int, required=True)
+    shared.add_argument("--sigma", required=True, help="exact rational, e.g. 7/64")
+    add_common(shared, precision=True)
+    # in full only, or thm7 would read thm6's --s as an abbreviated --sigma
+    p = theorems.add_parser("thm6", parents=[shared], allow_abbrev=False, help="codeword-count bound")
+    p.add_argument("--s", type=int, default=2, help="alphabet size")
+    p = theorems.add_parser("thm7", parents=[shared], allow_abbrev=False, help="decoder-count bound")
+    p.add_argument("--k", type=int, required=True, help="keys per decoder")
 
     p = sub.add_parser("scan", help="grid infeasibility scan")
     p.add_argument("--mode", choices=("thm10", "thm11"), default="thm10")
@@ -457,10 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("fixtures", help="list or emit built-in fixtures")
-    p.add_argument("action", choices=("list", "emit"))
-    p.add_argument("name", nargs="?", default=None)
-    add_common(p)
     p.set_defaults(func=cmd_fixtures)
+    actions = p.add_subparsers(dest="action", required=True)
+    add_common(actions.add_parser("list", help="each fixture's file header"))
+    p = actions.add_parser("emit", help="a fixture in its file format")
+    p.add_argument("name")
+    add_common(p)
 
     return parser
 

@@ -57,18 +57,8 @@ def fixture_names() -> Tuple[str, ...]:
     return tuple(sorted(CODES)) + tuple(sorted(SCHEMES))
 
 
-def describe(name: str) -> str:
-    if name in CODES:
-        code = CODES[name]()
-        return f"code: n={code.n} l={code.length} s={code.s}"
-    if name in SCHEMES:
-        scheme = SCHEMES[name]()
-        return f"scheme: l={scheme.l} n={scheme.n} k={scheme.k}"
-    raise KeyError(name)
-
-
 def emit(name: str) -> str:
-    """The fixture in its file format (round-trips through the parsers)."""
+    """The fixture's file, headed by its summary (round-trips through the parsers)."""
     if name in CODES:
         return format_code(CODES[name]())
     if name in SCHEMES:

@@ -152,18 +152,41 @@ def test_every_verifier_reads_the_one_step_budget_when_it_runs(tmp_path, capsys,
     )
 
 
+_THM6 = ["bounds", "thm6", "--q", "64", "--delta", "3", "--c", "2", "--sigma", "7/64",
+         "--l", "64"]
+_THM7 = ["bounds", "thm7", "--q", "256", "--delta", "3", "--c", "4", "--sigma", "9/256",
+         "--l", "256"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-fp", "gamma64", "--c", "2", "--precision-bits", "64"],
     ["verify-ta", "triangle", "--c", "2", "--precision-bits", "64"],
     ["fixtures", "list", "--precision-bits", "64"],
     ["verify-ta", "triangle", "--c", "2", "--mode", "exact"],
-], ids=["verify-fp-precision", "verify-ta-precision", "fixtures-precision", "verify-ta-mode"])
+    [*_THM6, "--k", "32"],
+    [*_THM7, "--k", "32", "--s", "3"],
+    ["fixtures", "list", "gamma64"],
+], ids=["verify-fp-precision", "verify-ta-precision", "fixtures-precision", "verify-ta-mode",
+        "thm6-k", "thm7-s", "fixtures-list-name"])
 def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exited:
         cli.main(argv)
     captured = capsys.readouterr()
     assert exited.value.code == 2 and captured.out == ""
     assert "error: unrecognized arguments: " in captured.err
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["verify-fp"], "code, --c"),
+    (_THM7, "--k"),
+    (["fixtures", "emit"], "name"),
+], ids=["verify-fp-without-code-and-c", "thm7-without-k", "emit-without-name"])
+def test_missing_required_value_is_a_usage_error(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and captured.out == ""
+    assert f"error: the following arguments are required: {missing}\n" in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
@@ -450,10 +473,20 @@ def test_fixture_list_and_unknown(capsys):
     assert code == 1 and "unknown fixture" in err
 
 
-def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify-fp"])  # missing --c
-    assert exc.value.code == 2
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fixture_summaries_are_the_emitted_headers(capsys, fmt):
+    """Each row of ``fixtures list`` is the first line of the fixture's file
+    without its ``# ``."""
+    code, out, err = run(capsys, "fixtures", "list", "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        rows = [(row["name"], row["summary"]) for row in json.loads(out)["fixtures"]]
+    else:
+        rows = [tuple(line.split(maxsplit=1)) for line in out.splitlines()]
+    assert [name for name, _ in rows] == list(fixtures.fixture_names())
+    for name, summary in rows:
+        code, emitted, err = run(capsys, "fixtures", "emit", name)
+        assert code == 0 and emitted.splitlines()[0] == f"# {summary}"
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +552,6 @@ _BOUNDARY = {
         "--c": _values(-1, 0, 1, 2, 3, 10**30),
         "--sigma": _RATIONALS,
         "--l": _values(-1, 0, 1, 2, 262143, 262144, 262145),
-        "--k": _values(-1, 0, 1, 32),
-        "--s": _values(1, 2, 3, 15, 16, 17),
         "--precision-bits": _PRECISION,
     },
     "scan": {
@@ -531,6 +562,11 @@ _BOUNDARY = {
     },
     "entropy": {"--precision-bits": _PRECISION},
     "fixtures": {},
+}
+# each theorem's own flag, drawn on top of the bounds flags
+_THEOREM_BOUNDARY = {
+    "thm6": {"--s": _values(1, 2, 3, 15, 16, 17)},
+    "thm7": {"--k": _values(-1, 0, 1, 32)},
 }
 
 
@@ -566,10 +602,12 @@ def fuzz_argvs(draw, inputs):
     each flag in turn, then all of them at once, to a drawn boundary value,
     drop one flag, and add a flag the command does not take."""
     command = draw(st.sampled_from(sorted(_BOUNDARY)))
+    own = {}
     if command == "bounds":
         which, *pairs = draw(st.sampled_from(_VALID_BOUNDS))
         positionals = [draw(st.sampled_from([which] * 9 + ["thm8"]))]
         flags = dict(zip(pairs[::2], pairs[1::2]))
+        own = _THEOREM_BOUNDARY[which]
     else:
         if command in ("verify-fp", "verify-ta"):
             positionals = [draw(st.one_of(inputs[command], inputs["any"]))]
@@ -577,7 +615,7 @@ def fuzz_argvs(draw, inputs):
             positionals = [draw(_RATIONALS)]
         elif command == "fixtures":
             positionals = draw(st.sampled_from(
-                [["list"], ["emit"], ["emit", "nope"], ["show"]]
+                [["list"], ["list", "gamma64"], ["emit"], ["emit", "nope"], ["show"]]
                 + [["emit", name] for name in fixtures.fixture_names()]
             ))
         else:
@@ -587,12 +625,14 @@ def fuzz_argvs(draw, inputs):
             flag: draw(values) for flag, values in _VALID[command].items()
             if flag == "--c" or draw(st.booleans())
         }
-    boundary = {flag: draw(values) for flag, values in _BOUNDARY[command].items()}
+    boundary = {flag: draw(values) for flag, values in {**_BOUNDARY[command], **own}.items()}
     variants = [flags, {**flags, **boundary}, *({**flags, flag: v} for flag, v in boundary.items())]
     if flags:
         dropped = draw(st.sampled_from(sorted(flags)))
         variants.append({flag: v for flag, v in flags.items() if flag != dropped})
-    stray = draw(st.sampled_from([["--precision-bits", "64"], ["--k", "1"], ["--bogus"]]))
+    stray = draw(st.sampled_from(
+        [["--precision-bits", "64"], ["--k", "1"], ["--s", "3"], ["--bogus"]]
+    ))
     fmt = draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
     argvs = [[command, *positionals, *(x for pair in v.items() for x in pair)] for v in variants]
     argvs.append(argvs[0] + stray)

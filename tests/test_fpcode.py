@@ -397,6 +397,19 @@ def test_unanimity_frameproof_implies_coordinate_set_frameproof(code):
             assert is_frameproof(code, c, CRD).is_frameproof
 
 
+@given(small_codes(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sub_codes_of_a_frameproof_code_are_frameproof(code, data):
+    """A sub-code's coalitions and outsiders are the code's, so it stays
+    frame-proof at every c, under both definitions."""
+    kept = sorted(data.draw(st.sets(st.sampled_from(range(code.n)), min_size=1)))
+    sub = Code(tuple(code.codewords[i] for i in kept), code.s)
+    for c in range(1, code.n + 1):
+        for definition in (UNA, CRD):
+            if is_frameproof(code, c, definition).is_frameproof:
+                assert is_frameproof(sub, c, definition).is_frameproof
+
+
 @given(small_codes().filter(lambda code: code.n >= 2))
 @settings(max_examples=400, deadline=None)
 def test_min_distance_matches_reference(code):

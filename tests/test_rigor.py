@@ -1,5 +1,7 @@
 """Exactness and soundness of the arithmetic core."""
 
+import decimal
+import math
 import random
 from fractions import Fraction as F
 
@@ -192,6 +194,41 @@ def test_enclosures_contain_mpmath_values(bits):
     )
     for enc, value in cases:
         assert enc.lo < exact(value) < enc.hi
+        assert enc.width <= F(1, 2**bits)
+
+
+@pytest.mark.parametrize("bits", [2, 64, 1024, 4096])
+def test_enclosures_contain_decimal_values(bits):
+    """The mpmath test's cases against the standard library: ``decimal``'s
+    ``ln`` is correctly rounded, so at D = ceil(bits * log10 2) + 40 digits
+    each value below is off by a few units in its last place.  Every
+    enclosure must hold it with the margin m = 10^-(D - 10) on both sides,
+    and be no wider than 2^-bits."""
+    digits = math.ceil(bits * math.log10(2)) + 40
+    margin = F(1, 10 ** (digits - 10))
+    ctx = decimal.Context(prec=digits)
+    ln2 = ctx.ln(2)
+
+    def rational(x):
+        return ctx.divide(x.numerator, x.denominator)
+
+    def log2(x):
+        return ctx.divide(ctx.ln(x), ln2)
+
+    def entropy(p):
+        q = ctx.subtract(1, p)
+        return ctx.minus(ctx.add(ctx.multiply(p, log2(p)), ctx.multiply(q, log2(q))))
+
+    xs = [F(1, 3), F(3), F(10), F(7, 5), F(1000), F(1, 1000), F(2**100 + 1), F(99, 100)]
+    ps = [F(1, 3), F(1, 16), F(7, 10), F(1, 1000), F(999, 1000), F(1, 19)]
+    cases = (
+        [(log2_enclosure(x, bits), log2(rational(x))) for x in xs]
+        + [(entropy_enclosure(p, bits), entropy(rational(p))) for p in ps]
+        + [(log2_e_enclosure(bits), ctx.divide(1, ln2))]
+    )
+    for enc, value in cases:
+        value = F(value)
+        assert enc.lo < value - margin and value + margin < enc.hi
         assert enc.width <= F(1, 2**bits)
 
 

@@ -627,29 +627,71 @@ def test_monotonicity_false_propagates_upward():
     assert len(base.witness.coalition) <= 3
 
 
+def relabel_keys(scheme: KeyScheme, perm) -> KeyScheme:
+    return KeyScheme(scheme.l, tuple(frozenset(perm[key] for key in d) for d in scheme.decoders))
+
+
 def test_permutation_invariance():
     rng = random.Random(8)
     scheme = triangle()
     for _ in range(20):
         perm = list(range(scheme.l))
         rng.shuffle(perm)
-        relabeled = KeyScheme(
-            scheme.l,
-            tuple(frozenset(perm[key] for key in d) for d in scheme.decoders),
-        )
         assert (
-            is_traceable_exact(relabeled, 2).verdict.label
+            is_traceable_exact(relabel_keys(scheme, perm), 2).verdict.label
             == is_traceable_exact(scheme, 2).verdict.label
         )
     disjoint = make_disjoint_scheme(6, 3, 2)
     for _ in range(20):
         perm = list(range(disjoint.l))
         rng.shuffle(perm)
-        relabeled = KeyScheme(
-            disjoint.l,
-            tuple(frozenset(perm[key] for key in d) for d in disjoint.decoders),
-        )
-        assert is_traceable_exact(relabeled, 3).verdict.is_true
+        assert is_traceable_exact(relabel_keys(disjoint, perm), 3).verdict.is_true
+
+
+@given(small_schemes(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_relabelling_keys_keeps_verdict_and_witness_pirate(case, data):
+    """Decoder i keeps its overlap with every pirate when the key labels are
+    permuted, so the verdict is kept and the relabelled witness pirate still
+    makes the trace accuse the witness outsider."""
+    scheme, c = case
+    perm = data.draw(st.permutations(range(scheme.l)))
+    verdict = is_traceable_exact(scheme, c)
+    relabelled = relabel_keys(scheme, perm)
+    assert is_traceable_exact(relabelled, c).verdict.label == verdict.verdict.label
+    if verdict.witness is not None:
+        pirate = [perm[key] for key in verdict.witness.pirate]
+        assert verdict.witness.outsider in trace(relabelled, pirate).argmax_decoders
+
+
+@given(small_schemes())
+@settings(max_examples=200, deadline=None)
+def test_first_witness_size_fixes_the_verdict_in_c(case):
+    """A refutation by j decoders is the verdict at every c' in [j, n], and
+    the scheme is traceable at c' = j - 1."""
+    scheme, c = case
+    verdict = is_traceable_exact(scheme, c)
+    if verdict.verdict.is_false:
+        j = len(verdict.witness.coalition)
+        for wider in range(j, scheme.n + 1):
+            assert is_traceable_exact(scheme, wider) == verdict
+        assert is_traceable_exact(scheme, j - 1).verdict.is_true
+
+
+@given(small_schemes())
+@settings(max_examples=400, deadline=None)
+def test_sub_schemes_of_a_traceable_scheme_are_traceable(case):
+    """Dropping decoders drops only outsiders, and no coalition's trace
+    maximum, so every sub-scheme of a traceable scheme is traceable.  Each
+    scheme is tried at the largest c it is traceable at, since most drawn
+    schemes are traceable only at c = 1, where every scheme is."""
+    scheme, _ = case
+    verdict = is_traceable_exact(scheme, scheme.n)
+    c = scheme.n if verdict.verdict.is_true else len(verdict.witness.coalition) - 1
+    assert is_traceable_exact(scheme, c).verdict.is_true
+    for size in range(1, scheme.n):
+        for kept in itertools.combinations(scheme.decoders, size):
+            assert is_traceable_exact(KeyScheme(scheme.l, kept), c).verdict.is_true
 
 
 # ---------------------------------------------------------------------------
