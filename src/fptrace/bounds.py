@@ -33,7 +33,6 @@ from .rigor import (
     DEFAULT_PRECISION_BITS,
     Rational,
     _as_fraction,
-    binom,
     certainty_all,
     certify_less,
     entropy_enclosure,
@@ -153,22 +152,13 @@ def sigma_constraint(
     return certainty_all(first, _certainty(second))
 
 
-def thm6_lower(p: Thm6Params, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
-    """log2 of the claimed frame-proof lower bound:
-    (H(1/c) - sigma)*l - (delta-1)*log2(q).
+def _lower_log2(p: Union[Thm6Params, Thm7Params], m: int, precision_bits: int) -> Enclosure:
+    """log2 of the claimed lower bound with entropy argument 1/m:
+    (H(1/m) - sigma)*l - (delta-1)*log2(q).
 
-    Exact point enclosure when c = 2 and q is a power of two, since
+    Exact point enclosure when m = 2 and q is a power of two, since
     H(1/2) = 1 is exact.
     """
-    return _lower_log2(p, p.c, precision_bits)
-
-
-def thm7_lower(p: Thm7Params, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
-    """log2 of the claimed traceability lower bound; entropy argument 1/c^2."""
-    return _lower_log2(p, p.c * p.c, precision_bits)
-
-
-def _lower_log2(p: Union[Thm6Params, Thm7Params], m: int, precision_bits: int) -> Enclosure:
     inner = precision_bits + p.l.bit_length() + p.delta.bit_length() + 4
     h = entropy_enclosure(Fraction(1, m), inner)
     lq = log2_enclosure(p.q, inner)
@@ -203,8 +193,8 @@ def sw_upper_bound(l: int, k: int, c: int) -> SWBoundReport:
     if k < 1 or k > l:
         raise DomainError("need 1 <= k <= l")
     t = -(-k // c)
-    numerator = binom(l, t)
-    denominator = binom(k - 1, t - 1)
+    numerator = math.comb(l, t)
+    denominator = math.comb(k - 1, t - 1)
     return SWBoundReport(t, numerator, denominator, Fraction(numerator, denominator))
 
 

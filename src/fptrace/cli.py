@@ -43,6 +43,7 @@ DEFAULT_SEED = 1
 MAX_TRIALS = 10**6
 MAX_SCAN_EXTENT = 1024
 MAX_BOUND_LENGTH = 1 << 18
+MAX_INPUT_BYTES = 1 << 22
 
 _PROBE_NOTE = (
     f" ({paramscan.MIN_SCAN_W} and {paramscan.MIN_SCAN_C} are the minimum probe extents)"
@@ -138,6 +139,9 @@ def _load(spec: str, table: dict, parse, format_error: type, kind: str):
     if path.exists():
         if not path.is_file():  # a FIFO or device could block or never end
             raise CliError(f"{spec}: not a regular file")
+        size = path.stat().st_size
+        if size > MAX_INPUT_BYTES:
+            raise CliError(f"{spec}: {size} bytes, more than 2^{MAX_INPUT_BYTES.bit_length() - 1}")
         try:
             return parse(_read_input(spec, path))
         except format_error as exc:
@@ -398,8 +402,15 @@ def cmd_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags in full only, in every sub-parser too: no ``--s`` read as ``--seed``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fptrace",
         description="Certified verification of frame-proof codes, traceability "
         "schemes, and the parameter bounds claimed for them.",
@@ -432,15 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="certified bound contradiction reports")
     p.set_defaults(func=cmd_bounds)
     theorems = p.add_subparsers(dest="which", required=True)
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _Parser(add_help=False)
     for flag in ("--q", "--delta", "--c", "--l"):
         shared.add_argument(flag, type=int, required=True)
     shared.add_argument("--sigma", required=True, help="exact rational, e.g. 7/64")
     add_common(shared, precision=True)
-    # in full only, or thm7 would read thm6's --s as an abbreviated --sigma
-    p = theorems.add_parser("thm6", parents=[shared], allow_abbrev=False, help="codeword-count bound")
+    p = theorems.add_parser("thm6", parents=[shared], help="codeword-count bound")
     p.add_argument("--s", type=int, default=2, help="alphabet size")
-    p = theorems.add_parser("thm7", parents=[shared], allow_abbrev=False, help="decoder-count bound")
+    p = theorems.add_parser("thm7", parents=[shared], help="decoder-count bound")
     p.add_argument("--k", type=int, required=True, help="keys per decoder")
 
     p = sub.add_parser("scan", help="grid infeasibility scan")

@@ -283,20 +283,6 @@ def decimal_sci(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact combinatorics
-# ---------------------------------------------------------------------------
-
-
-def binom(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); zero when k > n."""
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise DomainError("binom takes integers")
-    if n < 0 or k < 0:
-        raise DomainError("binom requires nonnegative arguments")
-    return math.comb(n, k)
-
-
-# ---------------------------------------------------------------------------
 # Dyadic fixed-point internals (directed rounding)
 # ---------------------------------------------------------------------------
 

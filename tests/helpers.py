@@ -4,10 +4,10 @@ The oracles here deliberately avoid the library's own algorithms: the log2
 oracle extracts binary digits by exact rational squaring (long division of
 the exponent), the atanh reference carries both of the series kernel's
 tracks at full width where the library carries the upper one as a small
-excess, the binomial oracles use the product formula and the Pascal
-recurrence, and the frame-proof oracles decide position by position on
-feasible patterns or by full feasible-set enumeration instead of the
-library's integer mask tests.  The minimum-distance and candidate-filter
+excess, the binomial oracle uses the Pascal recurrence, and the
+frame-proof oracles decide position by position on feasible patterns or
+by full feasible-set enumeration instead of the library's integer mask
+tests.  The minimum-distance and candidate-filter
 references are the symbol-by-symbol loop and the full grid enumeration that
 the library's packed-word and closed-form versions replaced, and the exact
 traceability reference enumerates every pirate instead of searching count
@@ -145,22 +145,6 @@ def atanh_two_track_reference(z: Fraction, w: int) -> Tuple[int, int]:
             s_hi += 1
             break
     return s_lo, s_hi
-
-
-def binom_product(n: int, k: int) -> int:
-    """Product-formula binomial: prod(n-i, i<k) / k!."""
-    if k < 0 or n < 0:
-        raise ValueError
-    if k > n:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    assert num % den == 0
-    return num // den
 
 
 def pascal_table(n_max: int):

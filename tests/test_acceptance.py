@@ -19,7 +19,6 @@ from fptrace.bounds import (
     Thm7Params,
     contradiction_report_thm6,
     contradiction_report_thm7,
-    thm7_lower,
 )
 from fptrace.fpcode import FeasibleDefinition, is_frameproof, parse_code
 from fptrace.paramscan import (
@@ -33,7 +32,6 @@ from fptrace.paramscan import (
 )
 from fptrace.rigor import (
     Enclosure,
-    binom,
     certify_less,
     entropy_enclosure,
     log2_enclosure,
@@ -121,7 +119,7 @@ def test_criterion_03_thm7_contradiction(capsys):
         rep = contradiction_report_thm7(p, precision_bits=128)
 
         def make_lower(bits):
-            return thm7_lower(p, bits)
+            return contradiction_report_thm7(p, bits).lower_log2
 
         def point_61(bits):
             return Enclosure.point(61)
@@ -131,7 +129,7 @@ def test_criterion_03_thm7_contradiction(capsys):
 
         assert certify_less(point_61, make_lower, 128).is_true
         assert certify_less(make_lower, point_62, 128).is_true
-        assert rep.upper_exact == F(binom(256, 8), binom(31, 7))
+        assert rep.upper_exact == F(math.comb(256, 8), math.comb(31, 7))
         assert rep.upper_exact < 2**28  # exact rational comparison
         assert rep.upper_log2.hi < 28
         assert rep.sigma_ok is True
@@ -269,11 +267,11 @@ def test_criterion_12_rigor_suite():
                     assert enc.width <= prev.width
                     enc.intersect(prev)  # raises on disjoint enclosures
                 prev = enc
-        # binom Pascal identity, exhaustive to n = 64
+        # math.comb Pascal identity, exhaustive to n = 64
         table = pascal_table(64)
         for n in range(1, 65):
             for k in range(1, n + 1):
-                assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k) == table[n][k]
+                assert math.comb(n, k) == math.comb(n - 1, k - 1) + math.comb(n - 1, k) == table[n][k]
         # entropy symmetry
         for num in range(1, 32):
             x = F(num, 33)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,9 +20,8 @@ from fptrace.bounds import (
     sigma_constraint,
     ssw_upper,
     sw_upper_bound,
-    thm6_lower,
-    thm7_lower,
     _contradiction_exact,
+    _lower_log2,
 )
 from fptrace.fpcode import Code, FeasibleDefinition, is_frameproof
 from fptrace.rigor import DomainError, certify_less, log2_enclosure
@@ -200,54 +200,54 @@ def test_inexact_sigma_is_refused(sigma):
 
 def test_thm6_lower_exact_main_parameters():
     p = Thm6Params(q=64, delta=3, c=2, sigma=F(7, 64), l=64, w=32)
-    enc = thm6_lower(p)
+    enc = _lower_log2(p, 2, 64)
     assert enc.is_point and enc.lo == 45
 
 
 def test_thm6_lower_trivial_cancellations():
     # H(1/2) = 1 exactly: (1 - 1/2)*2 - 0 = 1
     p = Thm6Params(q=2, delta=1, c=2, sigma=F(1, 2), l=2, w=1)
-    enc = thm6_lower(p)
+    enc = _lower_log2(p, 2, 64)
     assert enc.is_point and enc.lo == 1
     # sigma = H(1/2) makes the exponent collapse to zero exactly
     p0 = Thm6Params(q=2, delta=1, c=2, sigma=F(1), l=2, w=1)
-    enc0 = thm6_lower(p0)
+    enc0 = _lower_log2(p0, 2, 64)
     assert enc0.is_point and enc0.lo == 0
 
 
 def test_thm6_lower_c4_variant():
     # 64*(H(1/4) - 7/64) - 12 = 64*H(1/4) - 19 = 32.92180...
     p = Thm6Params(q=64, delta=3, c=4, sigma=F(7, 64), l=64, w=16)
-    enc = thm6_lower(p)
+    enc = _lower_log2(p, 4, 64)
     assert enc.lo > F("32.9218") - F(1, 10**4)
     assert enc.hi < F("32.9218") + F(1, 10**4)
 
 
 def test_thm7_lower_between_61_and_62():
     p = Thm7Params(q=256, delta=3, c=4, sigma=F(9, 256), l=256, k=32)
-    enc = thm7_lower(p, 128)
+    enc = _lower_log2(p, 16, 128)
     assert enc.lo > 61 and enc.hi < 62
     assert enc.lo > F("61.34625") and enc.hi < F("61.34626")
 
 
 def test_lower_monotone_in_sigma():
     base = dict(q=64, delta=3, c=2, l=64, w=32)
-    small = thm6_lower(Thm6Params(sigma=F(7, 64), **base))
-    large = thm6_lower(Thm6Params(sigma=F(9, 64), **base))
+    small = _lower_log2(Thm6Params(sigma=F(7, 64), **base), 2, 64)
+    large = _lower_log2(Thm6Params(sigma=F(9, 64), **base), 2, 64)
     # increasing sigma shifts the exponent down by exactly (d_sigma * l)
     assert large.lo == small.lo - 2 and large.hi == small.hi - 2
 
 
 def test_lower_monotone_in_delta():
     base = dict(q=64, c=2, sigma=F(7, 64), l=64, w=32)
-    d3 = thm6_lower(Thm6Params(delta=3, **base))
-    d4 = thm6_lower(Thm6Params(delta=4, **base))
+    d3 = _lower_log2(Thm6Params(delta=3, **base), 2, 64)
+    d4 = _lower_log2(Thm6Params(delta=4, **base), 2, 64)
     # q a power of two: the step is exactly log2(q) = 6
     assert d3.lo - d4.lo == 6 and d3.hi - d4.hi == 6
     # general q: the interval of possible steps encloses log2(q)
     base5 = dict(q=5, c=2, sigma=F(1, 4), l=4, w=2)
-    e2 = thm6_lower(Thm6Params(delta=2, **base5))
-    e3 = thm6_lower(Thm6Params(delta=3, **base5))
+    e2 = _lower_log2(Thm6Params(delta=2, **base5), 2, 64)
+    e3 = _lower_log2(Thm6Params(delta=3, **base5), 2, 64)
     step = log2_enclosure(5, 100)
     assert e2.hi - e3.hi <= step.hi and e2.lo - e3.lo >= step.lo
     assert e2.lo > e3.lo and e2.hi > e3.hi
@@ -401,11 +401,11 @@ def test_contradiction_matches_escalating_enclosures(case, bits):
     with it.  Low starting precisions send many reports to the exact test."""
     p, s, m = case
     if isinstance(p, Thm6Params):
-        rep, lower = contradiction_report_thm6(p, s, bits), thm6_lower
+        rep = contradiction_report_thm6(p, s, bits)
     else:
-        rep, lower = contradiction_report_thm7(p, bits), thm7_lower
+        rep = contradiction_report_thm7(p, bits)
     want = certify_less(
-        lambda b: log2_enclosure(rep.upper_exact, b), lambda b: lower(p, b), bits
+        lambda b: log2_enclosure(rep.upper_exact, b), lambda b: _lower_log2(p, m, b), bits
     )
     if not want.is_unresolved:
         assert rep.contradiction == want
@@ -455,6 +455,39 @@ def test_escalation_runs_past_the_exact_cap(monkeypatch):
     monkeypatch.setattr(bounds, "EXACT_POWER_BITS", 0)
     rep = contradiction_report_thm6(_near_tie(16384))
     assert str(rep.contradiction) == "Unresolved(precision_bits=4096)"
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: the claimed lower bound falls as delta or sigma grows
+# ---------------------------------------------------------------------------
+
+
+def _report(p, s):
+    if isinstance(p, Thm6Params):
+        return contradiction_report_thm6(p, s)
+    return contradiction_report_thm7(p)
+
+
+@given(bound_params(), st.fractions(F(1, 512), F(1, 2), max_denominator=512))
+@settings(max_examples=300, deadline=None)
+def test_contradiction_at_larger_delta_or_sigma_holds_at_smaller(case, step):
+    """The claimed lower bound falls as delta or sigma grows, and the upper
+    bound reads neither, so a contradiction certified at delta + 1 or at
+    sigma + step is certified at (delta, sigma) too."""
+    p, s, _ = case
+    larger = [replace(p, delta=p.delta + 1), replace(p, sigma=p.sigma + step)]
+    if any(_report(q, s).contradiction.is_true for q in larger):
+        assert _report(p, s).contradiction.is_true
+
+
+@given(st.integers(1, 4096), st.fractions(F(1, 4096), F(2), max_denominator=4096),
+       st.fractions(F(1, 4096), F(1), max_denominator=4096))
+@settings(max_examples=300, deadline=None)
+def test_sigma_constraint_holds_at_every_larger_sigma(l, sigma, step):
+    """Both halves of the constraint loosen as sigma grows: log2(l)/l < sigma,
+    and (13 + sqrt(169 + 48*sigma))/(12*sigma) falls in sigma."""
+    if sigma_constraint(l, sigma).is_true:
+        assert sigma_constraint(l, sigma + step).is_true
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,15 @@ _THM7 = ["bounds", "thm7", "--q", "256", "--delta", "3", "--c", "4", "--sigma", 
     [*_THM6, "--k", "32"],
     [*_THM7, "--k", "32", "--s", "3"],
     ["fixtures", "list", "gamma64"],
+    ["verify-ta", "disjoint_6_3_2", "--c", "2", "--method", "sample", "--trials", "5",
+     "--s", "7"],
+    ["scan", "--m", "thm11"],
+    ["scan", "--p", "8"],
+    ["verify-fp", "gamma64", "--c", "2", "--def", "coordset"],
+    ["fixtures", "emit", "gamma64", "--form", "json"],
 ], ids=["verify-fp-precision", "verify-ta-precision", "fixtures-precision", "verify-ta-mode",
-        "thm6-k", "thm7-s", "fixtures-list-name"])
+        "thm6-k", "thm7-s", "fixtures-list-name", "verify-ta-s-as-seed", "scan-m-as-mode",
+        "scan-p-as-precision", "verify-fp-def-as-definition", "emit-form-as-format"])
 def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exited:
         cli.main(argv)
@@ -211,6 +218,30 @@ def test_fifo_input_is_an_error(tmp_path, command):
     )
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == f"error: {fifo}: not a regular file\n"
+
+
+@pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])
+def test_input_over_the_size_cap_is_refused_unread(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "huge.txt"
+    path.touch()
+    os.truncate(path, cli.MAX_INPUT_BYTES + 1)  # sparse: no disk blocks written
+
+    def refuse_read(self, *args, **kwargs):
+        raise AssertionError(f"{self} was read")
+
+    monkeypatch.setattr(Path, "read_text", refuse_read)
+    assert run(capsys, command, str(path), "--c", "2") == (
+        1, "", f"error: {path}: {cli.MAX_INPUT_BYTES + 1} bytes, more than 2^22\n"
+    )
+
+
+def test_input_at_the_size_cap_is_read(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "large.txt"
+    path.touch()
+    os.truncate(path, cli.MAX_INPUT_BYTES)
+    monkeypatch.setattr(Path, "read_text", lambda self, **kwargs: "0011\n0110\n")
+    code, out, err = run(capsys, "verify-fp", str(path), "--c", "2")
+    assert (code, err) == (0, "") and "code: n=2 l=4 s=2" in out
 
 
 @pytest.mark.parametrize("command", ["verify-fp", "verify-ta"])

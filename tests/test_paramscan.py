@@ -413,6 +413,21 @@ def test_one_listed_window_that_is_not_empty_decides_the_scan(
     assert capsys.readouterr().out.splitlines()[-1] == f"global verdict: {verdict}"
 
 
+@given(st.sampled_from(list(ScanMode)), st.integers(paramscan.MIN_SCAN_W, 24),
+       st.integers(0, 16), st.integers(paramscan.MIN_SCAN_C, 48), st.integers(0, 40))
+@settings(max_examples=30, deadline=None)
+def test_smaller_scan_lists_the_larger_scans_candidates_on_its_grid(mode, w1, dw, c1, dc):
+    """Metamorphic: growing the extents keeps every candidate window and its
+    order; THM10 rows have a <= c_max, THM11 rows c <= floor(sqrt(c_max))."""
+    small = scan_infeasibility(w1, c1, mode)
+    large = scan_infeasibility(w1 + dw, c1 + dc, mode)
+    if mode is ScanMode.THM10:
+        kept = [r for r in large.candidates if r.w <= w1 and r.a <= c1]
+    else:
+        kept = [r for r in large.candidates if r.w <= w1 and r.c <= math.isqrt(c1)]
+    assert list(small.candidates) == kept
+
+
 def test_scan_rejects_small_extents():
     with pytest.raises(DomainError):
         scan_infeasibility(3, 2, ScanMode.THM10)

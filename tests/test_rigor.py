@@ -14,7 +14,6 @@ from fptrace.rigor import (
     Certainty,
     DomainError,
     Enclosure,
-    binom,
     certainty_all,
     certify_less,
     entropy_enclosure,
@@ -26,36 +25,8 @@ from fptrace.rigor import (
 
 from tests.helpers import (
     atanh_two_track_reference,
-    binom_product,
     log2_bit_expansion,
-    pascal_table,
 )
-
-
-# ---------------------------------------------------------------------------
-# binom
-# ---------------------------------------------------------------------------
-
-
-def test_binom_examples():
-    assert binom(31, 7) == binom_product(31, 7) == 2629575
-    assert binom(5, 0) == 1
-    assert binom(4, 5) == 0
-
-
-def test_binom_pascal_exhaustive():
-    table = pascal_table(64)
-    for n in range(1, 65):
-        for k in range(1, n + 1):
-            assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
-            assert binom(n, k) == table[n][k]
-
-
-def test_binom_rejects_negative():
-    with pytest.raises(DomainError):
-        binom(-1, 2)
-    with pytest.raises(DomainError):
-        binom(3, -2)
 
 
 # ---------------------------------------------------------------------------
