@@ -253,10 +253,12 @@ def _contradiction_report(
         return log2_enclosure(upper_exact, bits)
 
     lower_log2, upper_log2 = make_lower(precision_bits), make_upper(precision_bits)
-    overlap = upper_log2.lo <= lower_log2.hi and lower_log2.lo <= upper_log2.hi
-    contradiction = _contradiction_exact(p, m, upper_exact) if overlap else None
-    if contradiction is None:
-        contradiction = certify_less(make_upper, make_lower, precision_bits)
+    if upper_log2.hi < lower_log2.lo or lower_log2.hi < upper_log2.lo:
+        contradiction = _certainty(upper_log2.hi < lower_log2.lo)
+    else:
+        contradiction = _contradiction_exact(p, m, upper_exact)
+        if contradiction is None:
+            contradiction = certify_less(make_upper, make_lower, precision_bits)
     return BoundReport(
         which=which,
         params=p,

@@ -15,6 +15,8 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
+import stat
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -33,6 +35,7 @@ from .rigor import (
     Certainty,
     DomainError,
     Enclosure,
+    FormatError,
     entropy_enclosure,
 )
 
@@ -121,32 +124,31 @@ def _enc_line(label: str, enc: Enclosure) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_input(spec: str, path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{spec}: not UTF-8 text (byte {exc.start})") from exc
-    except OSError as exc:
-        raise CliError(f"{spec}: {exc.strerror or exc}") from exc
-
-
-def _load(spec: str, table: dict, parse, format_error: type, kind: str):
+def _load(spec: str, table: dict, parse, kind: str):
     """A built-in fixture from ``table`` by name, else the file at ``spec``
-    read by ``parse``, whose ``format_error`` becomes an ``error:`` line."""
+    read by ``parse``.  One ``stat`` vets the file before it is read; a
+    failure to stat, read or parse it becomes an ``error:`` line."""
     if spec in table:
         return table[spec]()
-    path = Path(spec)
-    if path.exists():
-        if not path.is_file():  # a FIFO or device could block or never end
+    try:
+        info = os.stat(spec)
+        if not stat.S_ISREG(info.st_mode):  # a FIFO or device could block or never end
             raise CliError(f"{spec}: not a regular file")
-        size = path.stat().st_size
-        if size > MAX_INPUT_BYTES:
-            raise CliError(f"{spec}: {size} bytes, more than 2^{MAX_INPUT_BYTES.bit_length() - 1}")
-        try:
-            return parse(_read_input(spec, path))
-        except format_error as exc:
-            raise CliError(f"{spec}: {exc}") from exc
-    raise CliError(f"{spec!r} is neither a built-in {kind} fixture nor a file")
+        if info.st_size > MAX_INPUT_BYTES:
+            raise CliError(
+                f"{spec}: {info.st_size} bytes, more than 2^{MAX_INPUT_BYTES.bit_length() - 1}"
+            )
+        text = Path(spec).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{spec}: not UTF-8 text (byte {exc.start})") from exc
+    except (FileNotFoundError, ValueError):  # ValueError: a NUL byte in the path
+        raise CliError(f"{spec!r} is neither a built-in {kind} fixture nor a file") from None
+    except OSError as exc:
+        raise CliError(f"{spec}: {exc.strerror or exc}") from exc
+    try:
+        return parse(text)
+    except FormatError as exc:
+        raise CliError(f"{spec}: {exc}") from exc
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -163,7 +165,7 @@ def _parse_rational(text: str) -> Fraction:
 
 def cmd_verify_fp(args) -> int:
     name = args.code
-    code = _load(name, fixtures.CODES, fpcode.parse_code, fpcode.CodeFormatError, "code")
+    code = _load(name, fixtures.CODES, fpcode.parse_code, "code")
     definition = fpcode.FeasibleDefinition(args.definition)
     verdict = fpcode.is_frameproof(code, args.c, definition)
     weights = sorted(fpcode.weight_set(code))
@@ -197,9 +199,7 @@ def cmd_verify_fp(args) -> int:
 
 def cmd_verify_ta(args) -> int:
     name = args.scheme
-    scheme = _load(
-        name, fixtures.SCHEMES, tascheme.parse_scheme, tascheme.SchemeFormatError, "scheme"
-    )
+    scheme = _load(name, fixtures.SCHEMES, tascheme.parse_scheme, "scheme")
     method = args.method
     if method == "exact":
         verdict = tascheme.is_traceable_exact(scheme, args.c)

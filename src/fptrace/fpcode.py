@@ -44,7 +44,9 @@ from enum import Enum
 from typing import Optional, Tuple
 
 # BudgetExceededError is imported for callers that catch it from this module.
-from .rigor import BudgetExceededError, DomainError, coalitions, refuse_over_budget
+from .rigor import (
+    BudgetExceededError, DomainError, FormatError, coalitions, content_lines, refuse_over_budget
+)
 
 Word = Tuple[int, ...]
 
@@ -59,10 +61,6 @@ _VALUES = bytes.maketrans(
     _HEX.encode(), bytes(range(MAX_ALPHABET)) + bytes(range(10, MAX_ALPHABET))
 )
 _NOT_A_SYMBOL = re.compile(f"[^{_HEX}]")
-
-
-class CodeFormatError(ValueError):
-    """Malformed code file; the message names the offending line."""
 
 
 class FeasibleDefinition(Enum):
@@ -241,7 +239,7 @@ def min_distance(code: Code) -> int:
 
 def weight_set(code: Code) -> set:
     """Set of Hamming weights; a singleton means the code is constant-weight."""
-    return {sum(sym != 0 for sym in w) for w in code.codewords}
+    return {len(w) - w.count(0) for w in code.codewords}
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +257,23 @@ def parse_code(text: str) -> Code:
     """
     rows = []
     length = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         bad = _NOT_A_SYMBOL.search(line)
         if bad:
-            raise CodeFormatError(f"line {lineno}: invalid symbol {bad.group()!r}")
+            raise FormatError(f"line {lineno}: invalid symbol {bad.group()!r}")
         symbols = tuple(line.encode().translate(_VALUES))
         if length is None:
             length = len(symbols)
         elif len(symbols) != length:
-            raise CodeFormatError(
-                f"line {lineno}: length {len(symbols)} differs from previous {length}"
-            )
+            raise FormatError(f"line {lineno}: length {len(symbols)} differs from previous {length}")
         rows.append(symbols)
     if not rows:
-        raise CodeFormatError("no codewords found")
+        raise FormatError("no codewords found")
     s = max(2, max(max(w) for w in rows) + 1)
     try:
         return Code(tuple(rows), s)
     except DomainError as exc:
-        raise CodeFormatError(str(exc)) from exc
+        raise FormatError(str(exc)) from exc
 
 
 def format_code(code: Code) -> str:

@@ -44,6 +44,19 @@ class BudgetExceededError(RuntimeError):
     """A verifier's requested work exceeds the step budget."""
 
 
+class FormatError(ValueError):
+    """Malformed input file; the message names the offending line."""
+
+
+def content_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number, content) for each line of ``text`` that holds more
+    than a '#' comment and whitespace, with both stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def refuse_over_budget(what: str, steps: int) -> None:
     """Refuse ``steps`` past ``DEFAULT_STEP_BUDGET``, read at the call."""
     if steps > DEFAULT_STEP_BUDGET:

@@ -50,10 +50,6 @@ from .rigor import BudgetExceededError, Certainty, DomainError, coalitions, refu
 MAX_KEY_BITS = 1 << 28
 
 
-class SchemeFormatError(ValueError):
-    """Malformed scheme file; the message names the offending line."""
-
-
 @dataclass(frozen=True)
 class KeyScheme:
     """n distinct decoders, each a k-subset of the keys 0..l-1."""
@@ -457,40 +453,35 @@ def parse_scheme(text: str) -> KeyScheme:
     """
     header = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in rigor.content_lines(text):
         try:
             values = [int(tok) for tok in line.split()]
         except ValueError:
-            raise SchemeFormatError(f"line {lineno}: expected integers") from None
+            raise rigor.FormatError(f"line {lineno}: expected integers") from None
         if header is None:
             if len(values) != 3:
-                raise SchemeFormatError(f"line {lineno}: header must be 'l n k'")
+                raise rigor.FormatError(f"line {lineno}: header must be 'l n k'")
             header = (lineno, values)
             continue
         rows.append((lineno, values))
     if header is None:
-        raise SchemeFormatError("missing 'l n k' header line")
+        raise rigor.FormatError("missing 'l n k' header line")
     l, n, k = header[1]
     if n * l > MAX_KEY_BITS:
-        raise SchemeFormatError(
-            f"line {header[0]}: n*l = {n * l} key-mask bits, more than 2^28"
-        )
+        raise rigor.FormatError(f"line {header[0]}: n*l = {n * l} key-mask bits, more than 2^28")
     if len(rows) != n:
-        raise SchemeFormatError(f"expected {n} decoder lines, found {len(rows)}")
+        raise rigor.FormatError(f"expected {n} decoder lines, found {len(rows)}")
     decoders = []
     for lineno, values in rows:
         if len(values) != k:
-            raise SchemeFormatError(f"line {lineno}: expected {k} keys, found {len(values)}")
+            raise rigor.FormatError(f"line {lineno}: expected {k} keys, found {len(values)}")
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise SchemeFormatError(f"line {lineno}: keys must be strictly increasing")
+            raise rigor.FormatError(f"line {lineno}: keys must be strictly increasing")
         decoders.append(frozenset(values))
     try:
         return KeyScheme(l, tuple(decoders))
     except DomainError as exc:
-        raise SchemeFormatError(str(exc)) from exc
+        raise rigor.FormatError(str(exc)) from exc
 
 
 def format_scheme(scheme: KeyScheme) -> str:

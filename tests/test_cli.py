@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -201,6 +202,38 @@ def test_directory_input_is_an_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(tmp_path), "--c", "2")
     assert code == 1
     assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, kind", [("verify-fp", "code"), ("verify-ta", "scheme")])
+@pytest.mark.parametrize("case", ["missing", "empty", "nul-byte", "name-too-long",
+                                  "not-a-directory", "symlink-loop", "permission-denied"])
+def test_unreadable_input_path_is_an_error(tmp_path, capsys, monkeypatch, command, kind, case):
+    """A path that cannot be stat-ed ends in one error line and exit 1: a
+    missing file, or an empty path or a NUL byte, which name none, in the
+    "neither" line, and every other OSError in the path and its reason."""
+    (tmp_path / "code.txt").write_text("0011\n0110\n")
+    (tmp_path / "loop").symlink_to("loop")
+    path, reason = {
+        "missing": (str(tmp_path / "missing.txt"), None),
+        "empty": ("", None),
+        "nul-byte": (str(tmp_path / "code.txt") + "\0", None),
+        "name-too-long": (str(tmp_path / ("x" * 300)), "File name too long"),
+        "not-a-directory": (str(tmp_path / "code.txt" / "x"), "Not a directory"),
+        "symlink-loop": (str(tmp_path / "loop"), "Too many levels of symbolic links"),
+        "permission-denied": (str(tmp_path / "code.txt"), "Permission denied"),
+    }[case]
+    if case == "permission-denied":
+        real_stat = os.stat
+
+        def denied(spec, *args, **kwargs):
+            if spec == path:
+                raise PermissionError(errno.EACCES, "Permission denied", spec)
+            return real_stat(spec, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", denied)
+    line = (f"{path}: {reason}" if reason
+            else f"{path!r} is neither a built-in {kind} fixture nor a file")
+    assert run(capsys, command, path, "--c", "2") == (1, "", f"error: {line}\n")
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

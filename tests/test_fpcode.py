@@ -12,7 +12,6 @@ from fptrace.fpcode import (
     MAX_ALPHABET,
     BudgetExceededError,
     Code,
-    CodeFormatError,
     FeasibleDefinition,
     FrameproofVerdict,
     FrameWitness,
@@ -23,7 +22,7 @@ from fptrace.fpcode import (
     parse_code,
     weight_set,
 )
-from fptrace.rigor import DomainError
+from fptrace.rigor import DomainError, FormatError
 
 from tests.helpers import (
     enumerate_feasible,
@@ -578,13 +577,13 @@ def test_parse_comments_and_blanks():
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(CodeFormatError, match="line 3"):
+    with pytest.raises(FormatError, match="line 3"):
         parse_code("0011\n0110\n01\n")
-    with pytest.raises(CodeFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         parse_code("01\n0x\n")
-    with pytest.raises(CodeFormatError):
+    with pytest.raises(FormatError):
         parse_code("# nothing\n")
-    with pytest.raises(CodeFormatError):
+    with pytest.raises(FormatError):
         parse_code("01\n01\n")  # duplicate codewords
 
 
@@ -596,7 +595,7 @@ def test_parse_reads_hex_digits_in_either_case_and_nothing_else():
         ("0g1\n", "line 1: invalid symbol 'g'"),
         ("01\n1x0y\n", "line 2: invalid symbol 'x'"),
     ):
-        with pytest.raises(CodeFormatError) as refused:
+        with pytest.raises(FormatError) as refused:
             parse_code(text)
         assert str(refused.value) == message
 
@@ -609,13 +608,13 @@ def test_parse_reads_hex_digits_in_either_case_and_nothing_else():
 )
 @settings(max_examples=600, deadline=None)
 def test_parse_code_raises_only_format_errors(text):
-    """Arbitrary text either parses or is refused with CodeFormatError.  A
+    """Arbitrary text either parses or is refused with FormatError.  A
     parsed word is its line read one hex digit at a time, and a refused
     symbol is the first character of its line that is not a hex digit."""
     lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
     try:
         code = parse_code(text)
-    except CodeFormatError as exc:
+    except FormatError as exc:
         lineno, _, reason = str(exc).partition(": ")
         if reason.startswith("invalid symbol"):
             line = lines[int(lineno.removeprefix("line ")) - 1]

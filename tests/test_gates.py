@@ -7,6 +7,7 @@ SHA-256 of the whole stdout.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,15 @@ from fptrace.fpcode import Code, construct_identity_concat, format_code
 SRC = str(Path(fptrace.__file__).resolve().parent.parent)
 CLI = (sys.executable, "-m", "fptrace.cli")
 
+
+def _seeded_words(n: int, bits: int) -> str:
+    """A code file of n distinct random words of the given length, seed 1."""
+    rng, words = random.Random(1), {}
+    while len(words) < n:
+        words[rng.getrandbits(bits)] = None
+    return "".join(f"{x:0{bits}b}\n" for x in words)
+
+
 # Input files by name: each is written to the test's directory, and
 # ``{input}`` in a gate's argv stands for its path.
 INPUTS = {
@@ -29,6 +39,9 @@ INPUTS = {
     "shared_16000_8000_2": lambda: "16000 8000 2\n"
     + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(7999)) + "1 15998\n",
     "words_50000_16": lambda: "".join(f"{i:016b}\n" for i in range(50000)),
+    # 45,000 distinct 92-bit words, 4,185,000 bytes: a code file just under
+    # the 2^22-byte cap, whose C(45000, 2) word pairs pass the step budget
+    "words_45000_92": lambda: _seeded_words(45000, 92),
     "identity_200_30_30": lambda: format_code(construct_identity_concat(200, 30, 30)),
     # 201 words of length 2,200, every outsider live: c = 2 walks all
     # C(201, 2) * 199 = 3,999,900 (coalition, outsider) pairs
@@ -76,6 +89,10 @@ GATES = {
     "min-distance-over-budget": (
         "words_50000_16", (*CLI, "verify-fp", "{input}", "--c", "1"), 10, 1,
         "error: minimum distance needs ~1249975000 steps, budget is 1000000000",
+    ),
+    "largest-input-over-budget": (
+        "words_45000_92", (*CLI, "verify-fp", "{input}", "--c", "1"), 10, 1,
+        "error: minimum distance needs ~1012477500 steps, budget is 1000000000",
     ),
     "identity-without-walk": (
         "identity_200_30_30", (*CLI, "verify-fp", "{input}", "--c", "3"), 5, 0,

@@ -13,6 +13,7 @@ from fptrace.paramscan import (
     CaseTag,
     EitherOr,
     ScanMode,
+    UnresolvedComparisonError,
     candidate_filter,
     classify_pair,
     delta_window,
@@ -203,6 +204,20 @@ def test_either_or_headline_examples():
     assert either_or_classify(4, 3, 1) is EitherOr.NEITHER
     with pytest.raises(DomainError):
         either_or_classify(2, 2, 0)
+
+
+def test_either_or_unresolved_is_an_error(monkeypatch):
+    """An upper enclosure that straddles delta at every precision leaves
+    the right side unresolved at the cap, which is refused, not guessed."""
+    monkeypatch.setattr(
+        paramscan, "window_upper",
+        lambda w, a, bits: Enclosure(F(3) - F(1, 2**bits), F(3) + F(1, 2**bits)),
+    )
+    with pytest.raises(UnresolvedComparisonError) as refused:
+        either_or_classify(5, 2, 3)
+    assert str(refused.value) == (
+        "delta = 3 vs window upper for (w=5, a=2) unresolved at 4096 bits"
+    )
 
 
 def test_either_or_never_both_on_small_grid():

@@ -10,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fptrace import rigor
+from fptrace.fpcode import parse_code
 from fptrace.rigor import (
     Certainty,
     DomainError,
     Enclosure,
+    FormatError,
     certainty_all,
     certify_less,
     entropy_enclosure,
@@ -22,6 +24,7 @@ from fptrace.rigor import (
     log2_enclosure,
     _atanh_dyadic,
 )
+from fptrace.tascheme import parse_scheme
 
 from tests.helpers import (
     atanh_two_track_reference,
@@ -427,3 +430,28 @@ def test_decimal_rendering():
     e = Enclosure(F(1, 3), F(1, 3) + F(1, 10**20))
     s = e.decimal_str()
     assert s.startswith("0.333333333333") and "e-21" in s
+
+
+# ---------------------------------------------------------------------------
+# Input lines
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("parse, lines, bad, reason", [
+    (parse_code, ["0011", "0110  # trailing comment", "1100"], "01",
+     "length 2 differs from previous 4"),
+    (parse_scheme, ["4 3 2", "0 1", "1 2  # trailing comment", "0 3"], "1 2 3",
+     "expected 2 keys, found 3"),
+], ids=["code", "scheme"])
+def test_both_parsers_skip_comment_and_blank_lines(parse, lines, bad, reason):
+    """Each parser reads ``rigor.content_lines``: comment-only, blank and
+    whitespace-only lines are skipped, and a refusal of the last content
+    line, ``bad``, names its number in the file as written."""
+    noise = ["# comment only", "", "   ", "\t# indented comment"]
+    padded = [line for pair in zip(noise, lines) for line in pair]
+    text = "\n".join(padded)
+    assert [n for n, _ in rigor.content_lines(text)] == list(range(2, len(padded) + 1, 2))
+    assert parse(text) == parse("\n".join(lines))
+    with pytest.raises(FormatError) as refused:
+        parse("\n".join(padded[:-1] + [bad, "# one more comment", ""]))
+    assert str(refused.value) == f"line {len(padded)}: {reason}"

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fptrace import rigor, tascheme
-from fptrace.rigor import DEFAULT_STEP_BUDGET, BudgetExceededError, Certainty, DomainError
+from fptrace.rigor import (
+    DEFAULT_STEP_BUDGET, BudgetExceededError, Certainty, DomainError, FormatError
+)
 from fptrace.tascheme import (
     KeyScheme,
-    SchemeFormatError,
     TAVerdict,
     TAWitness,
     format_scheme,
@@ -727,18 +728,18 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_errors():
-    with pytest.raises(SchemeFormatError, match="header"):
+    with pytest.raises(FormatError, match="header"):
         parse_scheme("# empty\n")
-    with pytest.raises(SchemeFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         parse_scheme("3 1 2\n0 0\n")
-    with pytest.raises(SchemeFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         parse_scheme("3 1 2\n0 1 2\n")
-    with pytest.raises(SchemeFormatError, match="decoder lines"):
+    with pytest.raises(FormatError, match="decoder lines"):
         parse_scheme("3 2 2\n0 1\n")
-    with pytest.raises(SchemeFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         parse_scheme("3 1 2\nx y\n")
     # a few bytes asking for 20 key masks of 2^24 bits, more than 2^28 in all
-    with pytest.raises(SchemeFormatError, match="line 1: n\\*l = 335544320 key-mask bits"):
+    with pytest.raises(FormatError, match="line 1: n\\*l = 335544320 key-mask bits"):
         parse_scheme("16777216 20 1\n" + "".join(f"{i}\n" for i in range(20)))
 
 
@@ -759,8 +760,8 @@ def test_parse_errors():
 )
 @settings(max_examples=600, deadline=None)
 def test_parse_scheme_raises_only_format_errors(text):
-    """Arbitrary text either parses or is refused with SchemeFormatError."""
+    """Arbitrary text either parses or is refused with FormatError."""
     try:
         parse_scheme(text)
-    except SchemeFormatError:
+    except FormatError:
         pass
